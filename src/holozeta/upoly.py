@@ -199,61 +199,43 @@ class UPoly:
     def rational_roots(self):
         """All rational roots with multiplicities, plus the rootless cofactor.
 
-        Candidates come from the divisors of the extreme coefficients of the
-        primitive integer form; the cofactor is returned integer-primitive.
+        Roots are found by p-adic lifting (Loos 1983), in time polynomial in
+        the degree and the coefficient size.  With q the primitive square-free
+        part of the polynomial after the roots at 0 are stripped, a small
+        prime P is chosen that does not divide lc(q) and at which every root
+        of q mod P is simple.  A rational root u/v in lowest terms has
+        v | lc(q), so it reduces to one of those roots; Newton iteration lifts
+        each to P^k > 2 |q(0)| lc(q), and rational reconstruction with
+        |u| <= |q(0)|, 0 < v <= lc(q) recovers u/v.  Every rational root is
+        found this way.  A candidate counts only after it is verified exactly
+        in Z, and its multiplicity comes from exact division of the original
+        polynomial.  The roots are sorted; the rootless cofactor is returned
+        integer-primitive.
         """
         if not self.c:
             raise ValueError("zero polynomial has every root")
-        p = self.primitive()
-        roots = []
-        # strip powers of s
+        a = [int(v) for v in self.primitive().c]
         k = 0
-        while not p.c[0]:
-            p = UPoly(p.c[1:])
+        while not a[k]:
             k += 1
-        if k:
-            roots.append((QQ0, k))
-        if p.degree >= 1:
-            a0 = abs(int(p.c[0]))
-            an = abs(int(p.lead))
-            for num in _divisors(a0):
-                for den in _divisors(an):
-                    if math.gcd(num, den) != 1:
-                        continue
-                    for sgn in (1, -1):
-                        r = QQ(sgn * num, den)
-                        m = p.root_multiplicity(r)
-                        if m:
-                            roots.append((r, m))
-                            for _ in range(m):
-                                p = p.exact_div(UPoly((-r, 1)))
+        roots = [(QQ0, k)] if k else []
+        a = a[k:]
+        if len(a) > 1:
+            q = _int_quo(a, _int_gcd(a, [i * a[i] for i in range(1, len(a))]))
+            for u, v in _lifted_roots(q):
+                m = 0
+                while (quo := _int_quo(a, [-u, v])) is not None:
+                    a, m = quo, m + 1
+                roots.append((QQ(u, v), m))
         roots.sort(key=lambda rm: rm[0])
-        return roots, p.primitive()
+        # dividing by primitive factors (v s - u), v > 0, keeps a primitive
+        return roots, UPoly(a)
 
-    def integer_roots_max(self, bound=100000):
-        """Largest nonnegative integer root, or None."""
-        best = None
-        p = self.primitive()
-        if not p.c:
-            raise ValueError("zero polynomial")
-        k = 0
-        while not p.c[k]:
-            best = 0
-            k += 1
-        a0 = abs(int(p.c[k]))
-        cands = set()
-        if a0 <= 10 ** 12:
-            cands.update(_divisors(a0))
-        # Cauchy bound scan as a safety net for small bounds
-        cauchy = 1 + max(abs(QQ(v) / p.lead) for v in p.c)
-        if cauchy <= bound:
-            cands.update(range(1, int(cauchy) + 2))
-        elif a0 > 10 ** 12:
-            raise ValueError("integer root search out of range")
-        for r in sorted(cands):
-            if not p.eval(QQ(r)):
-                best = r if best is None else max(best, r)
-        return best
+    def integer_roots_max(self):
+        """Largest root that is a nonnegative integer, or None."""
+        roots, _ = self.rational_roots()
+        found = [int(r) for r, _m in roots if r >= 0 and r.denominator == 1]
+        return max(found) if found else None
 
     # -- printing ----------------------------------------------------------------
     def to_str(self, var="s", compact=False):
@@ -287,18 +269,102 @@ def _qs(c):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+# Integer polynomials below are coefficient lists, lowest degree first.
+
+def _int_primitive(a):
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+    if a and a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g else a
+
+
+def _int_gcd(a, b):
+    """Primitive gcd with positive lead, by the primitive remainder sequence."""
+    while b:
+        r = list(a)
+        lb, db = b[-1], len(b) - 1
+        while len(r) > db:
+            c, k = r[-1], len(r) - 1 - db
+            r = [lb * x for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _int_primitive(r)
+    return _int_primitive(a)
+
+
+def _int_quo(a, g):
+    """a / g in Z[s], or None when g does not divide a there."""
+    r = list(a)
+    out = [0] * (len(a) - len(g) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(r[k + len(g) - 1], g[-1])
+        if rem:
+            return None
+        out[k] = c
+        for i, y in enumerate(g):
+            r[k + i] -= c * y
+    return None if any(r) else out
+
+
+def _horner(a, x, m):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lifted_roots(a):
+    """Rational roots u/v (pairs (u, v), v > 0) of the square-free integer
+    polynomial a, with a[0] != 0, each verified exactly."""
+    d = len(a) - 1
+    a0, lc = abs(a[0]), abs(a[-1])
+    da = [i * a[i] for i in range(1, d + 1)]
+    prime = 1
+    while True:
+        prime = _next_prime(prime)
+        if lc % prime == 0:
+            continue
+        residues = [x for x in range(prime) if not _horner(a, x, prime)]
+        if all(_horner(da, x, prime) for x in residues):
+            break
+    bound = 2 * a0 * lc
+    found = []
+    for r in residues:
+        m = prime
+        while m <= bound:
+            m *= m
+            r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
+        uv = _reconstruct(r, m, a0, lc)
+        if uv is None:
+            continue
+        u, v = uv
+        if sum(c * u ** i * v ** (d - i) for i, c in enumerate(a)) == 0:
+            found.append((u, v))
+    return found
+
+
+def _reconstruct(r, m, num_bound, den_bound):
+    """u/v with u = r v mod m, |u| <= num_bound, 0 < v <= den_bound, or None."""
+    r0, t0, r1, t1 = m, 0, r, 1
+    while r1 > num_bound:
+        quo = r0 // r1
+        r0, t0, r1, t1 = r1, t1, r0 - quo * r1, t0 - quo * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if not 0 < t1 <= den_bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _next_prime(n):
+    n += 1
+    while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 def inverse_series(p, at, n):

@@ -3,10 +3,12 @@ import pytest
 
 from holozeta import (
     QQ,
+    ProblemInstance,
     UPoly,
     WeylOperator,
     ann_fs,
     bfunction,
+    d_n,
     functional_operator,
     shift_compose,
 )
@@ -128,3 +130,33 @@ def test_functional_equation_invariant_all_instances(
         b = bfunction(ann, inst.f)
         eqn = functional_operator(ann, inst.f, b)
         assert eqn.check(ann, inst.f)
+
+
+def _brieskorn_pham(a, b):
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    return ProblemInstance.make(("x", "y"), x ** a + y ** b, [dx, dy])
+
+
+def _brieskorn_pham_b(a, b):
+    """(s+1) * prod (s + i/a + j/b) over the distinct values, 0<i<a, 0<j<b."""
+    roots = {QQ(i, a) + QQ(j, b) for i in range(1, a) for j in range(1, b)}
+    return UPoly.from_roots([QQ(-1)] + sorted(-r for r in roots))
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (4, 5)])
+def test_bfunction_brieskorn_pham_closed_form(a, b):
+    # degree-8 and degree-13 b-functions with distinct denominators: their
+    # rational roots drive the Laurent analysis
+    inst = _brieskorn_pham(a, b)
+    bf = bfunction(ann_fs(inst), inst.f)
+    assert bf.poly == _brieskorn_pham_b(a, b)
+    assert sum(m for _r, m in bf.rational_roots) == bf.degree
+    assert bf.nonrational_part == UPoly.one()
+
+
+def test_functional_operator_brieskorn_pham_4_5():
+    inst = _brieskorn_pham(4, 5)
+    ann = ann_fs(inst)
+    eqn = functional_operator(ann, inst.f, bfunction(ann, inst.f))
+    assert eqn.check(ann, inst.f)

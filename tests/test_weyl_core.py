@@ -1,8 +1,11 @@
 """Ring axioms, normal forms and Groebner bases, checked against a
 brute-force single-step rewriter where a second opinion is available."""
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holozeta import (
     QQ,
@@ -22,6 +25,7 @@ from holozeta import (
     represent,
     univariate_generator,
 )
+from holozeta.bfunction import BFunction
 
 W = WeylOperator
 
@@ -448,6 +452,83 @@ def test_upoly_integer_roots():
     p = UPoly.from_roots([QQ(0), QQ(3), QQ(-2), QQ(1, 2)])
     assert p.integer_roots_max() == 3
     assert UPoly((1, 1)).integer_roots_max() is None
+
+
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _brute_force_rational_roots(p):
+    """Rational roots by trying every +-d0/dn over the divisors d0 of the
+    trailing and dn of the leading coefficient of the primitive form."""
+    p = p.primitive()
+    roots = []
+    k = 0
+    while not p[0]:
+        p = UPoly(p.c[1:])
+        k += 1
+    if k:
+        roots.append((QQ(0), k))
+    if p.degree >= 1:
+        for num in _divisors(abs(int(p[0]))):
+            for den in _divisors(abs(int(p.lead))):
+                if math.gcd(num, den) != 1:
+                    continue
+                for r in (QQ(num, den), QQ(-num, den)):
+                    m = p.root_multiplicity(r)
+                    if m:
+                        roots.append((r, m))
+                        p = p.exact_div(UPoly.from_roots([r] * m))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, p.primitive()
+
+
+_root = st.builds(QQ, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _root_products(draw):
+    """(p, {root: multiplicity}) with p = scalar * cofactor * prod (s - r)^m."""
+    mult = {}
+    for r in draw(st.lists(_root, max_size=6)):
+        mult[r] = mult.get(r, 0) + draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        mult[QQ(0)] = mult.get(QQ(0), 0) + draw(st.integers(1, 2))
+    for r in range(draw(st.one_of(st.just(0), st.integers(2, 41)))):
+        mult[QQ(r)] = mult.get(QQ(r), 0) + 1
+    p = UPoly.from_roots([r for r, m in mult.items() for _ in range(m)])
+    cofactor = UPoly(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4)))
+    if cofactor:
+        p = p * cofactor
+    num = draw(st.integers(-9, 9).filter(bool))
+    return p * QQ(num, draw(st.integers(1, 9))), mult
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_root_products())
+def test_rational_roots_random_products(case):
+    p, mult = case
+    roots, rest = p.rational_roots()
+    found = dict(roots)
+    assert [r for r, _m in roots] == sorted(found)
+    for r, m in mult.items():
+        assert found.get(r, 0) >= m
+    assert rest == rest.primitive()
+    assert BFunction.from_upoly(p).recompose() == p.monic()
+    trailing = next(c for c in p.primitive().c if c)
+    if abs(trailing) <= 10 ** 4 and abs(p.primitive().lead) <= 10 ** 4:
+        assert (roots, rest) == _brute_force_rational_roots(p)
+
+
+def test_rational_roots_consecutive_integers_skip_small_primes():
+    # two of 0..40 meet mod every prime below 41, where they make a double
+    # root mod P, so the prime search must skip all of those primes
+    p = UPoly.from_roots([QQ(r) for r in range(41)] + [QQ(-3, 7)] * 2)
+    roots, rest = (p * UPoly((5, 0, 1)) * QQ(-4, 3)).rational_roots()
+    assert roots == [(QQ(-3, 7), 2)] + [(QQ(r), 1) for r in range(41)]
+    assert rest == UPoly((5, 0, 1))
 
 
 def test_eliminate_reembedding_contained_in_original():
