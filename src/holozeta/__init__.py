@@ -30,7 +30,7 @@ from .weyl_core import (
     represent,
     univariate_generator,
 )
-from .upoly import RatFunc, UPoly
+from .upoly import UPoly
 from .annihilator import (
     ProblemInstance,
     WEIGHT_TABLE,
@@ -38,7 +38,6 @@ from .annihilator import (
     build_malgrange,
     homogenize_w,
     psi_dehomogenize,
-    psi_embed,
     tau_substitute,
 )
 from .bfunction import BFunction, FunctionalEquation, bfunction, functional_operator, shift_compose

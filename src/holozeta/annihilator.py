@@ -19,6 +19,7 @@ from .weyl_core import (
     RingSignature,
     SignatureMismatch,
     WeylOperator,
+    add_term,
     d_n,
     d_n_s,
     d_np1,
@@ -58,8 +59,7 @@ class ProblemInstance:
             raise SignatureMismatch("annihilator generators must live in D_n")
         if not self.I_gens:
             raise ValueError("I_gens must be nonempty; use the dx_j for phi = 1")
-        n = len(self.x_names)
-        if any(any(m[sig.d_slot(i)] for i in range(n)) for m in self.f.terms):
+        if any(self.f.uses_slot(sig.d_slot(i)) for i in range(self.n)):
             raise ValueError("f must be a commutative polynomial in the x's")
         if self.f.total_degree() < 1:
             raise ValueError("f must be non-constant")
@@ -109,7 +109,7 @@ def tau_substitute(P, f):
         return cache[e]
 
     out = WeylOperator.zero(sig_t)
-    for m, c in P.terms.items():
+    for m, c in P.exponent_terms().items():
         term = WeylOperator.constant(sig_t, c)
         mono = [0] * sig_t.nslots
         has_x = False
@@ -146,39 +146,20 @@ def homogenize_w(P):
     out_sig = RingSignature(sig.x_names, True, sig.extras + ("sigma", "tau_h"))
     row = _weight_row(sig)
     tau_slot = out_sig.slot("tau_h")
-    if not P.terms:
+    terms = P.exponent_terms()
+    if not terms:
         return WeylOperator.zero(out_sig)
-    weights = {m: sum(w * e for w, e in zip(row, m)) for m in P.terms}
+    weights = {m: sum(w * e for w, e in zip(row, m)) for m in terms}
     dmin = min(weights.values())
     emb = [out_sig.slot(n) for n in sig.names]
-    out = WeylOperator(out_sig)
-    for m, c in P.terms.items():
+    out = {}
+    for m, c in terms.items():
         m2 = [0] * out_sig.nslots
         for i, e in enumerate(m):
-            if e:
-                m2[emb[i]] = e
+            m2[emb[i]] = e
         m2[tau_slot] = weights[m] - dmin
-        out.terms[tuple(m2)] = c
-    return out
-
-
-def tau_to_one(P):
-    """Map tau_h -> 1 and drop the unused sigma slot (inverse of homogenize_w)."""
-    sig = P.sig
-    sig_t = d_np1(sig.x_names)
-    drop = {sig.slot("sigma"), sig.slot("tau_h")}
-    keep = [i for i in range(sig.nslots) if i not in drop]
-    out = WeylOperator(sig_t)
-    for m, c in P.terms.items():
-        if m[sig.slot("sigma")]:
-            raise SignatureMismatch("operator still uses sigma")
-        key = tuple(m[i] for i in keep)
-        v = out.terms.get(key, QQ0) + c
-        if v:
-            out.terms[key] = v
-        else:
-            out.terms.pop(key, None)
-    return out
+        out[tuple(m2)] = c
+    return WeylOperator(out_sig, out)
 
 
 def _falling_factor(j, offset):
@@ -208,7 +189,7 @@ def psi_dehomogenize(P):
         raise SignatureMismatch("psi expects a D_{n+1} operator")
     row = _weight_row(sig)
     sig_s = d_n_s(sig.x_names)
-    if not P.terms:
+    if not P:
         return WeylOperator.zero(sig_s), 0
     ws = P.weights(row)
     if len(ws) > 1:
@@ -220,7 +201,7 @@ def psi_dehomogenize(P):
     s_slot = sig_s.slot("s")
     n = sig.n_x
     res = {}
-    for m, c in P.terms.items():
+    for m, c in P.exponent_terms().items():
         j = min(m[ts], m[dts])
         offset = 0 if m_w <= 0 else nu
         poly = _falling_factor(j, offset)
@@ -232,32 +213,8 @@ def psi_dehomogenize(P):
             if not coeff:
                 continue
             base[s_slot] = e
-            key = tuple(base)
-            v = res.get(key, QQ0) + c * coeff
-            if v:
-                res[key] = v
-            else:
-                res.pop(key, None)
-    out = WeylOperator(sig_s)
-    out.terms = res
-    return out, (nu if m_w <= 0 else -nu)
-
-
-def psi_embed(P, shift=0):
-    """Inverse of psi: S * P'(-dt t) expanded in D_{n+1} (for round trips)."""
-    sig_s = P.sig
-    sig_t = d_np1(sig_s.x_names)
-    t = WeylOperator.gen(sig_t, "t")
-    dt = WeylOperator.gen(sig_t, "dt")
-    minus_dtt = -(dt * t)
-    out = WeylOperator.zero(sig_t)
-    for e in range(P.max_extra_degree("s") + 1):
-        coeff = P.coeff_of_extra_power("s", e).embed(sig_t)
-        if coeff.is_zero():
-            continue
-        out = out + coeff * minus_dtt ** e
-    S = t ** shift if shift >= 0 else dt ** (-shift)
-    return S * out
+            add_term(res, tuple(base), c * coeff)
+    return WeylOperator(sig_s, res), (nu if m_w <= 0 else -nu)
 
 
 def ann_fs(inst, deadline=None):
@@ -276,6 +233,6 @@ def ann_fs(inst, deadline=None):
             raise NonHomogeneousInput(
                 "internal error: element of J'' is not weight-homogeneous")
         p, _shift = psi_dehomogenize(g)
-        if p.terms:
+        if p:
             gens.append(p)
     return IdealPresentation.make(inst.sig_s, gens)

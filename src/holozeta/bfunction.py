@@ -24,6 +24,14 @@ class NoBFunction(RuntimeError):
     """The elimination ideal met C[s] trivially (non-holonomic input)."""
 
 
+class NotInIdeal(RuntimeError, ValueError):
+    """b(s) has no representation over ann + D_n[s] f.
+
+    An internal failure when b is the b-function; it stays a ValueError for
+    callers that catch the error this used to be.
+    """
+
+
 @dataclass(frozen=True)
 class BFunction:
     """Monic polynomial in s with its rational-root factorization.
@@ -61,11 +69,7 @@ class BFunction:
 
     def as_operator(self, sig):
         """Embed into D_n[s] (sig must carry the extra s)."""
-        op = WeylOperator.zero(sig)
-        for e, c in enumerate(self.poly.c):
-            if c:
-                op.terms[sig.unit_mono("s", e)] = c
-        return op
+        return WeylOperator(sig, {sig.unit_mono("s", e): c for e, c in enumerate(self.poly.c)})
 
     def factored_str(self):
         """Integer-cleared factored display, e.g. (s+1)(6s+5)(6s+7).
@@ -138,7 +142,7 @@ def functional_operator(ann, f, b, deadline=None):
     target = b.as_operator(sig_s)
     cof = represent(target, gens, deadline=deadline, stage="functional-operator")
     if cof is None:
-        raise ValueError("b(s) is not in ann + D_n[s] f")
+        raise NotInIdeal("b(s) is not in ann + D_n[s] f")
     eqn = FunctionalEquation(b, cof[-1], 1)
     if not eqn.check(ann, fs):
         raise AssertionError("internal error: functional equation fails its invariant")

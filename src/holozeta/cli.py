@@ -3,7 +3,9 @@
 Commands: ann-fs, bfun, funceq, laurent, zeta-diff, verify.  Problem files
 are declarative "key: value" documents; all results are emitted as canonical
 strings (print/parse round trips exactly) plus an optional JSON document.
-Exit codes: 0 success, 2 stage timeout, 3 input error.
+Exit codes: 0 success, 2 stage timeout, 3 input error (syntax, exponents
+above MAX_EXPONENT, the problem instance or Laurent request checks),
+4 internal failure; a failure prints one line on stderr, no traceback.
 """
 from __future__ import annotations
 
@@ -16,9 +18,18 @@ from . import __version__
 from .annihilator import ProblemInstance, ann_fs
 from .bfunction import bfunction, functional_operator
 from .integration import difference_gcrd, zeta_difference
-from .laurent import LaurentRequest, ann_laurent
-from .oracle import LogSection, PhiSpec, annihilates, apply_log_section, numeric_zeta, residual_check
+from .laurent import LaurentRequest, LaurentRequestError, ann_laurent
+from .oracle import (
+    PHI_FAMILIES,
+    LogSection,
+    PhiSpec,
+    annihilates,
+    apply_log_section,
+    numeric_zeta,
+    residual_check,
+)
 from .weyl_core import (
+    MAX_EXPONENT,
     QQ,
     GBTimeout,
     TermOrder,
@@ -99,7 +110,10 @@ class _Parser:
         self.line = line
 
     def parse(self):
-        op = self._expr()
+        try:
+            op = self._expr()
+        except OverflowError as exc:
+            raise InputError(str(exc), self.line) from None
         kind, val, col = self.lex.peek()
         if kind != "end":
             raise InputError(f"unexpected {val!r}", self.line, col)
@@ -150,6 +164,8 @@ class _Parser:
                 raise InputError("exponent must be an integer", self.line, col)
             if neg:
                 raise InputError("negative exponents are not allowed", self.line, col)
+            if int(val) > MAX_EXPONENT:
+                raise InputError(f"exponent {val} above {MAX_EXPONENT}", self.line, col)
             return base ** int(val)
         return base
 
@@ -222,30 +238,41 @@ class ProblemFile:
                 key, _, val = line.partition(":")
                 keys[key.strip()] = (val.strip(), lineno)
         def take(name, default=None):
-            return keys.pop(name, (default, None))[0]
-        vars_field = take("vars")
+            return keys.pop(name, (default, None))
+        vars_field, _ = take("vars")
         if not vars_field:
             raise InputError("missing 'vars'")
-        f_text = take("f")
+        f_text, f_line = take("f")
         if not f_text:
             raise InputError("missing 'f'")
-        ann_field = take("annihilator")
+        ann_field, ann_line = take("annihilator")
         if not ann_field:
             raise InputError("missing 'annihilator'")
-        lambda0 = take("lambda0")
-        k = take("k")
-        phi = take("phi")
-        sat = (take("assume_saturated", "false") or "false").lower() in ("true", "yes", "1")
+        lambda0, _ = take("lambda0")
+        k, _ = take("k")
+        phi, phi_line = take("phi")
+        if phi and phi not in PHI_FAMILIES:
+            raise InputError(f"unknown phi family {phi!r}", phi_line)
+        sat = (take("assume_saturated", "false")[0] or "false").lower() in ("true", "yes", "1")
         if keys:
             name, (_, lineno) = next(iter(keys.items()))
             raise InputError(f"unknown key {name!r}", lineno)
-        return cls([v.strip() for v in vars_field.split(",") if v.strip()],
-                   f_text,
-                   [t.strip() for t in ann_field.split(",") if t.strip()],
-                   lambda0=_parse_rational(lambda0) if lambda0 else None,
-                   k=int(k) if k is not None else None,
-                   phi=phi or None,
-                   assume_saturated=sat)
+        var_names = [v.strip() for v in vars_field.split(",") if v.strip()]
+        ann_texts = [t.strip() for t in ann_field.split(",") if t.strip()]
+        try:
+            return cls(var_names, f_text, ann_texts,
+                       lambda0=_parse_rational(lambda0) if lambda0 else None,
+                       k=int(k) if k is not None else None,
+                       phi=phi or None,
+                       assume_saturated=sat)
+        except InputError:
+            # operator fields are parsed as one-line texts; parse them again
+            # with their file lines so that the error names the right line
+            sig = d_n(var_names)
+            parse_operator(f_text, sig, f_line)
+            for text in ann_texts:
+                parse_operator(text, sig, ann_line)
+            raise
 
     def instance(self, strict=True):
         """strict commands require the saturation assertion; ann-fs runs
@@ -254,8 +281,11 @@ class ProblemFile:
         if strict and not self.assume_saturated:
             raise InputError("assume_saturated: true is required past ann-fs "
                              "(saturation is the caller's assertion)")
-        return ProblemInstance.make(self.vars, self.f, self.ann,
-                                    saturated=self.assume_saturated)
+        try:
+            return ProblemInstance.make(self.vars, self.f, self.ann,
+                                        saturated=self.assume_saturated)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
 
 def _parse_rational(text):
@@ -265,6 +295,8 @@ def _parse_rational(text):
         text = text[1:]
     if "/" in text:
         p, q = text.split("/", 1)
+        if not int(q):
+            raise InputError("zero denominator")
         val = QQ(int(p), int(q))
     else:
         val = QQ(int(text))
@@ -445,13 +477,22 @@ def run(argv=None):
     t0 = time.monotonic()
     try:
         prob = ProblemFile.load(args.problem)
+    except (OSError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 3
+    try:
         doc = _COMMANDS[args.command](args, prob)
     except GBTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return 2
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, LaurentRequestError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return 4
     _emit(doc, args, time.monotonic() - t0)
     return 0
 

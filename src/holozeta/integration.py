@@ -19,13 +19,13 @@ from .annihilator import build_malgrange
 from .upoly import UPoly
 from .weyl_core import (
     QQ,
-    QQ0,
     QQ1,
     IdealPresentation,
     SignatureMismatch,
     SubmodulePresentation,
     TermOrder,
     WeylOperator,
+    add_term,
     component_zero_ideal,
     d_1,
     rational_content,
@@ -52,7 +52,7 @@ def _fourier_op(op):
     sig = op.sig
     n = sig.n_x
     out = WeylOperator.zero(sig)
-    for m, c in op.terms.items():
+    for m, c in op.exponent_terms().items():
         a = m[:n]                      # x exponents -> dx
         b = m[n:2 * n]                 # dx exponents -> -x
         rest = m[2 * n:]
@@ -76,11 +76,7 @@ def _fourier_op(op):
 
 def _bernstein_homogenize(op, hsig):
     deg = op.total_degree()
-    out = WeylOperator(hsig)
-    for m, c in op.terms.items():
-        m2 = list(m) + [deg - sum(m)]
-        out.terms[tuple(m2)] = c
-    return out
+    return WeylOperator(hsig, {m + (deg - sum(m),): c for m, c in op.exponent_terms().items()})
 
 
 def _w_row(sig):
@@ -107,16 +103,8 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     gens = [_bernstein_homogenize(g, hsig) for g in pre.cached_gb]
     hideal = IdealPresentation.make(hsig, gens)
     gb = hideal.groebner(order, deadline, stage)
-    out = []
-    for g in gb.cached_gb:
-        deh = WeylOperator(sig)
-        for m, c in g.terms.items():
-            key = m[:-1]
-            deh.terms[key] = deh.terms.get(key, QQ0) + c
-        deh.terms = {m: c for m, c in deh.terms.items() if c}
-        if deh.terms:
-            out.append(deh)
-    return out
+    dehomogenized = (g.subs_extra("h", 1, sig) for g in gb.cached_gb)
+    return [g for g in dehomogenized if g]
 
 
 @dataclass(frozen=True)
@@ -201,17 +189,15 @@ def restriction_data(ideal, deadline=None):
             for i in range(n):
                 mono[sig.d_slot(i)] = gamma[i]
             shifted = WeylOperator(sig, {tuple(mono): QQ1}) * g
-            vec = [WeylOperator.zero(sig1) for _ in basis]
-            for m, c in shifted.terms.items():
+            cols = [{} for _ in basis]
+            for m, c in shifted.exponent_terms().items():
                 if any(m[i] for i in range(n)):
                     continue           # x * D_{n+1} dies at x = 0
                 beta = tuple(m[sig.d_slot(i)] for i in range(n))
-                d1mono = (m[ts], m[dts])
-                vec[index[beta]].terms[d1mono] = vec[index[beta]].terms.get(d1mono, QQ0) + c
-            for op in vec:
-                op.terms = {m: c for m, c in op.terms.items() if c}
-            if any(op.terms for op in vec):
-                relations.append(tuple(vec))
+                add_term(cols[index[beta]], (m[ts], m[dts]), c)
+            vec = tuple(WeylOperator(sig1, col) for col in cols)
+            if any(vec):
+                relations.append(vec)
     module = SubmodulePresentation.make(len(basis), sig1, relations)
     return RestrictionData(bw, k0, basis, module)
 
@@ -287,11 +273,7 @@ class DifferenceOperator:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
-            q = out.get(k, UPoly.zero()) + p
-            if q:
-                out[k] = q
-            else:
-                out.pop(k, None)
+            add_term(out, k, p)
         return DifferenceOperator(out)
 
     def __neg__(self):
@@ -306,11 +288,7 @@ class DifferenceOperator:
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
-                q = out.get(i + j, UPoly.zero()) + a * b.shift(i)
-                if q:
-                    out[i + j] = q
-                else:
-                    out.pop(i + j, None)
+                add_term(out, i + j, a * b.shift(i))
         return DifferenceOperator(out)
 
     def scale(self, c):
@@ -368,7 +346,7 @@ def mellin_raw(op):
         raise SignatureMismatch("mellin transform expects a D_1 operator")
     ts, dts = sig.t_slot, sig.dt_slot
     out = DifferenceOperator()
-    for m, c in op.terms.items():
+    for m, c in op.exponent_terms().items():
         a, b = m[ts], m[dts]
         # E^a (-s E^-1)^b = (-1)^b (s+a)(s+a-1)...(s+a-b+1) E^(a-b)
         poly = UPoly.one()

@@ -22,6 +22,10 @@ from .weyl_core import (
 )
 
 
+class LaurentRequestError(ValueError):
+    """A Laurent request the b-function does not allow (k below -l)."""
+
+
 @dataclass(frozen=True)
 class LaurentRequest:
     inst: ProblemInstance
@@ -153,7 +157,7 @@ def ann_laurent(req, deadline=None):
     eqm = shift_compose(eqn, m)
     l, c = pole_order(eqm.b, lambda0, m)
     if req.k < -l:
-        raise ValueError(f"k = {req.k} below the pole order bound -l = {-l}")
+        raise LaurentRequestError(f"k = {req.k} below the pole order bound -l = {-l}")
     N = l + req.k
     Qk = laurent_operators(eqm.P0, c, lambda0, l, req.k)
     Jk = build_Jk(ann, N)

@@ -17,11 +17,11 @@ import mpmath
 
 from .weyl_core import (
     QQ,
-    QQ0,
     IdealPresentation,
     SignatureMismatch,
     TermOrder,
     WeylOperator,
+    add_term,
     normal_form,
 )
 
@@ -47,12 +47,7 @@ def _comm_poly_div(num, den):
         c = work[m] / lc
         quot[diff] = c
         for dm, dc in den.items():
-            key = tuple(a + b for a, b in zip(diff, dm))
-            v = work.get(key, QQ0) - c * dc
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
+            add_term(work, tuple(a + b for a, b in zip(diff, dm)), -c * dc)
     return quot
 
 
@@ -103,13 +98,12 @@ class LogSection:
         and the test is a commutative polynomial division on each coefficient.
         """
         sig = self.sig
-        n = len(self.inst.x_names)
         nx = sig.n_x
         groups = {}
-        for m, c in op.terms.items():
+        for m, c in op.exponent_terms().items():
             key = m[nx:]
             groups.setdefault(key, {})[m[:nx]] = c
-        fterms = {m[:nx]: c for m, c in self.inst.f.embed(sig).terms.items()}
+        fterms = {m[:nx]: c for m, c in self.inst.f.embed(sig).exponent_terms().items()}
         out = {}
         for key, poly in groups.items():
             q = _comm_poly_div(poly, fterms)
@@ -117,9 +111,7 @@ class LogSection:
                 return None
             for xm, c in q.items():
                 out[xm + key] = c
-        res = WeylOperator(sig)
-        res.terms = out
-        return res
+        return WeylOperator(sig, out)
 
     def _put(self, j, op, fpow):
         op = op if op.sig == self.sig else op.embed(self.sig)
@@ -136,7 +128,7 @@ class LogSection:
             op, fpow = cop + op, k
         op = self._reduce(op)
         # canonical form: clear common left f-factors against the denominator
-        while fpow > 0 and op.terms:
+        while fpow > 0 and op:
             q = self._left_div_f(op)
             if q is None:
                 break
@@ -283,7 +275,7 @@ def apply_log_section(P, v):
         raise SignatureMismatch("operator over different x variables")
     n = len(inst.x_names)
     out = None
-    for m, c in P.terms.items():
+    for m, c in P.exponent_terms().items():
         cur = v.scale(c)
         # rightmost factors first: extras, dt, t, dx, x
         for name_i, e in reversed(list(enumerate(m))):

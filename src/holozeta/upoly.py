@@ -1,8 +1,9 @@
-"""Exact univariate polynomials and rational functions over Q.
+"""Exact univariate polynomials over Q.
 
 Small self-contained layer used for b-functions, Taylor/series bookkeeping of
 the Laurent-coefficient operators, and difference-operator coefficients.
-Coefficients are stored densely, lowest degree first.
+Coefficients are stored densely, lowest degree first; gcds and rational roots
+run on integer coefficient lists.
 """
 from __future__ import annotations
 
@@ -142,10 +143,8 @@ class UPoly:
         return q
 
     def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
+        """Monic gcd, by the integer primitive remainder sequence."""
+        return UPoly(_int_gcd(_int_form(self), _int_form(other))).monic()
 
     def monic(self):
         if not self.c:
@@ -214,7 +213,7 @@ class UPoly:
         """
         if not self.c:
             raise ValueError("zero polynomial has every root")
-        a = [int(v) for v in self.primitive().c]
+        a = _int_form(self)
         k = 0
         while not a[k]:
             k += 1
@@ -270,6 +269,11 @@ def _qs(c):
 
 
 # Integer polynomials below are coefficient lists, lowest degree first.
+
+def _int_form(p):
+    """The primitive integer coefficient list of a UPoly."""
+    return [int(v) for v in p.primitive().c]
+
 
 def _int_primitive(a):
     g = 0
@@ -379,61 +383,3 @@ def inverse_series(p, at, n):
             acc += loc[i] * inv[r - i]
         inv.append(-acc / loc[0])
     return inv
-
-
-class RatFunc:
-    """Rational function num/den over Q, gcd-reduced, den primitive positive."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = UPoly.one()
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            num, den = UPoly.zero(), UPoly.one()
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lc = den.lead
-            num = num * (QQ1 / lc)
-            den = den * (QQ1 / lc)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not other:
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def shift(self, a):
-        return RatFunc(self.num.shift(a), self.den.shift(a))
-
-    def __repr__(self):
-        if self.den == UPoly.one():
-            return f"<RatFunc {self.num.to_str()}>"
-        return f"<RatFunc ({self.num.to_str()})/({self.den.to_str()})>"

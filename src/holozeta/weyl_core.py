@@ -8,8 +8,12 @@ for a central generator h.  Elements are kept normally ordered (all x-type
 exponents recorded before d-type ones in a single exponent vector), with
 arbitrary-precision rational coefficients.
 
-The Groebner engine works uniformly on free modules D^r via labelled monomials
-(component, exponents...); plain operators are the rank-1 case.
+There is one monomial format: an exponent vector packed into a single
+integer, 16 bits per slot (see _Pack), so at most MAX_EXPONENT per generator;
+a product that would exceed it raises OverflowError.  The Groebner engine
+works uniformly on free modules D^r, where a labelled monomial carries its
+component in the bits above the slots; an operator's term dict is the rank-1
+case as it stands.
 """
 from __future__ import annotations
 
@@ -61,6 +65,15 @@ def rational_content(coeffs):
     return QQ(num, den)
 
 
+def add_term(terms, m, c):
+    """terms[m] += c in a sparse dict, dropping the entry when it cancels."""
+    v = terms[m] + c if m in terms else c
+    if v:
+        terms[m] = v
+    else:
+        terms.pop(m, None)
+
+
 # ---------------------------------------------------------------------------
 # signatures
 # ---------------------------------------------------------------------------
@@ -98,6 +111,7 @@ class RingSignature:
         if self.has_t:
             pairs.append((2 * n, 2 * n + 1))
         object.__setattr__(self, "_pairs", tuple(pairs))
+        object.__setattr__(self, "_pk", _Pack(self))
 
     # -- layout ------------------------------------------------------------
     @property
@@ -157,9 +171,6 @@ class RingSignature:
     def dehomogenize(self):
         return RingSignature(self.x_names, self.has_t, self.extras, False)
 
-    def zero_mono(self):
-        return (0,) * self.nslots
-
     def unit_mono(self, name, exp=1):
         m = [0] * self.nslots
         m[self.slot(name)] = exp
@@ -183,38 +194,141 @@ def d_1():
 
 
 # ---------------------------------------------------------------------------
-# monomial multiplication (the Leibniz rewrite in closed form)
+# packed monomials
+#
+# A monomial is a single integer with 16 bits per slot (low slot first) and
+# exponents at most MAX_EXPONENT, so the top bit of every field is a guard
+# bit.  Monomial product without commutation corrections is one integer
+# addition, and divisibility within one component is a subtraction plus a
+# guard-bit test: a slot that borrows, or a sum past MAX_EXPONENT, sets its
+# field's guard bit.
 # ---------------------------------------------------------------------------
 
-def _mono_mul(sig, A, B):
-    """Normally ordered product of monomials A*B as [(mono, integer coeff)].
+_PACK_BITS = 16
+MAX_EXPONENT = (1 << (_PACK_BITS - 1)) - 1
+_OVERFLOW = f"exponent above {MAX_EXPONENT} in a product"
 
-    Uses d^a x^b = sum_k C(a,k) C(b,k) k! x^(b-k) d^(a-k) (h^2k) per pair.
+
+class _Pack:
+    """Packed layout of one signature; a labelled monomial of a free module
+    carries its component in the bits from cshift up."""
+
+    __slots__ = ("shifts", "guard", "dmask", "pairs", "h_shift", "cshift", "smask")
+
+    def __init__(self, sig):
+        n = sig.nslots
+        self.shifts = tuple(i * _PACK_BITS for i in range(n))
+        self.guard = sum(1 << (i * _PACK_BITS + _PACK_BITS - 1) for i in range(n))
+        mask = (1 << _PACK_BITS) - 1
+        dm = 0
+        prs = []
+        for xs, ds in sig._pairs:
+            dm |= mask << (ds * _PACK_BITS)
+            prs.append((xs * _PACK_BITS, ds * _PACK_BITS))
+        self.dmask = dm
+        self.pairs = tuple(prs)
+        self.h_shift = sig.h_slot * _PACK_BITS if sig.h_slot is not None else None
+        self.cshift = n * _PACK_BITS
+        self.smask = (1 << self.cshift) - 1
+
+
+def _pack(pk, mono):
+    out = 0
+    for e, sh in zip(mono, pk.shifts):
+        if e > MAX_EXPONENT:
+            raise OverflowError(f"exponent {e} above {MAX_EXPONENT}")
+        out += e << sh
+    return out
+
+
+def _unpack(pk, packed):
+    return tuple((packed >> sh) & 0x7FFF for sh in pk.shifts)
+
+
+def _pdeg(pk, packed):
+    total = 0
+    for sh in pk.shifts:
+        total += (packed >> sh) & 0x7FFF
+    return total
+
+
+def _mono_mul_packed(pk, A, B):
+    """Normally ordered product of packed monomials as ((packed, int), ...).
+
+    Uses d^a x^b = sum_k C(a,k) C(b,k) k! x^(b-k) d^(a-k) (h^2k) per pair;
+    B may carry a component label, which the product keeps.
     """
-    base = [a + b for a, b in zip(A, B)]
-    active = []
-    for xs, ds in sig._pairs:
-        a = A[ds]
-        b = B[xs]
-        if a and b:
-            active.append((xs, ds, a, b))
-    if not active:
-        return [(tuple(base), 1)]
-    hs = sig.h_slot
+    base = A + B
+    if base & pk.guard:
+        raise OverflowError(_OVERFLOW)
+    inter = None
+    for xsh, dsh in pk.pairs:
+        a = (A >> dsh) & 0x7FFF
+        if a:
+            b = (B >> xsh) & 0x7FFF
+            if b:
+                if inter is None:
+                    inter = []
+                inter.append((xsh, dsh, a, b))
+    if inter is None:
+        return ((base, 1),)
+    hs = pk.h_shift
     out = [(base, 1)]
-    for xs, ds, a, b in active:
+    for xsh, dsh, a, b in inter:
         nxt = []
-        for mono, c in out:
+        for m, c in out:
             for k in range(min(a, b) + 1):
                 cc = c * math.comb(a, k) * math.comb(b, k) * math.factorial(k)
-                m2 = list(mono)
-                m2[xs] -= k
-                m2[ds] -= k
+                m2 = m - (k << xsh) - (k << dsh)
                 if hs is not None:
-                    m2[hs] += 2 * k
+                    m2 += (2 * k) << hs
+                    if m2 & pk.guard:
+                        raise OverflowError(_OVERFLOW)
                 nxt.append((m2, cc))
         out = nxt
-    return [(tuple(m), c) for m, c in out]
+    return out
+
+
+def _term_mul_into(pk, res, coef, quot, terms, inserted=None):
+    """res += coef * (quot (x) each labelled term), in place.
+
+    terms is a sequence of (lab, coeff); inserted (when given) collects labels
+    that were newly created (updates of existing entries are not reported).
+    """
+    get = res.get
+    if quot & pk.dmask == 0:
+        # no derivation exponents on the left: plain exponent addition
+        guard = pk.guard
+        for lab, c in terms:
+            lab2 = lab + quot
+            if lab2 & guard:
+                raise OverflowError(_OVERFLOW)
+            old = get(lab2)
+            if old is None:
+                res[lab2] = coef * c
+                if inserted is not None:
+                    inserted.append(lab2)
+            else:
+                v = old + coef * c
+                if v:
+                    res[lab2] = v
+                else:
+                    del res[lab2]
+        return
+    for lab, c in terms:
+        cc = coef * c
+        for lab2, k in _mono_mul_packed(pk, quot, lab):
+            old = get(lab2)
+            if old is None:
+                res[lab2] = cc * k
+                if inserted is not None:
+                    inserted.append(lab2)
+            else:
+                v = old + cc * k
+                if v:
+                    res[lab2] = v
+                else:
+                    del res[lab2]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +338,8 @@ def _mono_mul(sig, A, B):
 class WeylOperator:
     """Sparse normally ordered element of a Weyl-type algebra.
 
-    terms maps exponent tuples to nonzero rational coefficients.
+    terms maps packed monomials to nonzero rational coefficients.  The
+    constructor takes exponent tuples; exponent_terms() gives them back.
     """
 
     __slots__ = ("sig", "terms")
@@ -233,21 +348,26 @@ class WeylOperator:
         self.sig = sig
         self.terms = {}
         if terms:
+            pk = sig._pk
             for m, c in terms.items():
                 if c:
-                    self.terms[m] = QQ(c)
+                    self.terms[_pack(pk, m)] = QQ(c)
 
     # -- constructors --------------------------------------------------------
+    @classmethod
+    def _of(cls, sig, terms):
+        """The operator owning an already packed term dict."""
+        op = cls(sig)
+        op.terms = terms
+        return op
+
     @classmethod
     def zero(cls, sig):
         return cls(sig)
 
     @classmethod
     def constant(cls, sig, c):
-        op = cls(sig)
-        if c:
-            op.terms[sig.zero_mono()] = QQ(c)
-        return op
+        return cls._of(sig, {0: QQ(c)} if c else {})
 
     @classmethod
     def one(cls, sig):
@@ -255,14 +375,15 @@ class WeylOperator:
 
     @classmethod
     def gen(cls, sig, name, exp=1):
-        op = cls(sig)
-        op.terms[sig.unit_mono(name, exp)] = QQ1
-        return op
+        return cls(sig, {sig.unit_mono(name, exp): QQ1})
 
     def copy(self):
-        op = WeylOperator(self.sig)
-        op.terms = dict(self.terms)
-        return op
+        return WeylOperator._of(self.sig, dict(self.terms))
+
+    def exponent_terms(self):
+        """The terms as {exponent tuple: coefficient}."""
+        pk = self.sig._pk
+        return {_unpack(pk, m): c for m, c in self.terms.items()}
 
     # -- basics ---------------------------------------------------------------
     def is_zero(self):
@@ -291,21 +412,13 @@ class WeylOperator:
         self._check(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            v = res.get(m, QQ0) + c
-            if v:
-                res[m] = v
-            else:
-                res.pop(m, None)
-        out = WeylOperator(self.sig)
-        out.terms = res
-        return out
+            add_term(res, m, c)
+        return WeylOperator._of(self.sig, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = WeylOperator(self.sig)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return WeylOperator._of(self.sig, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, type(QQ0))):
@@ -317,29 +430,19 @@ class WeylOperator:
 
     def scale(self, c):
         c = QQ(c)
-        out = WeylOperator(self.sig)
-        if c:
-            out.terms = {m: cc * c for m, cc in self.terms.items()}
-        return out
+        return WeylOperator._of(self.sig, {m: cc * c for m, cc in self.terms.items()}
+                                if c else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, type(QQ0))):
             return self.scale(other)
         self._check(other)
-        sig = self.sig
+        pk = self.sig._pk
         res = {}
-        for mA, cA in self.terms.items():
-            for mB, cB in other.terms.items():
-                c = cA * cB
-                for m, k in _mono_mul(sig, mA, mB):
-                    v = res.get(m, QQ0) + c * k
-                    if v:
-                        res[m] = v
-                    else:
-                        res.pop(m, None)
-        out = WeylOperator(sig)
-        out.terms = res
-        return out
+        right = other.terms.items()
+        for m, c in self.terms.items():
+            _term_mul_into(pk, res, c, m, right)
+        return WeylOperator._of(self.sig, res)
 
     def __rmul__(self, other):
         if isinstance(other, (int, type(QQ0))):
@@ -356,71 +459,72 @@ class WeylOperator:
 
     # -- structure queries ----------------------------------------------------
     def total_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
+        pk = self.sig._pk
+        return max((_pdeg(pk, m) for m in self.terms), default=-1)
 
     def order(self):
         """Max total degree in the d-type slots (dx's and dt)."""
-        slots = [self.sig.d_slot(i) for i in range(self.sig.n_x)]
-        if self.sig.has_t:
-            slots.append(self.sig.dt_slot)
-        return max((sum(m[i] for i in slots) for m in self.terms), default=-1)
+        slots = [ds for _xs, ds in self.sig.pairs]
+        return max((sum(m[i] for i in slots) for m in self.exponent_terms()), default=-1)
+
+    def _weighted(self, row):
+        pk = self.sig._pk
+        return {m: sum(w * e for w, e in zip(row, _unpack(pk, m))) for m in self.terms}
 
     def weights(self, row):
-        return {sum(w * e for w, e in zip(row, m)) for m in self.terms}
+        return set(self._weighted(row).values())
 
     def is_weight_homogeneous(self, row):
         return len(self.weights(row)) <= 1
 
     def max_weight(self, row):
-        return max(sum(w * e for w, e in zip(row, m)) for m in self.terms)
+        return max(self._weighted(row).values())
 
     def initial_form(self, row):
         """Sum of the terms of maximal weight under row."""
         if not self.terms:
             return self.copy()
-        top = self.max_weight(row)
-        out = WeylOperator(self.sig)
-        out.terms = {m: c for m, c in self.terms.items()
-                     if sum(w * e for w, e in zip(row, m)) == top}
-        return out
+        weighted = self._weighted(row)
+        top = max(weighted.values())
+        return WeylOperator._of(self.sig, {m: c for m, c in self.terms.items()
+                                           if weighted[m] == top})
 
     def uses_slot(self, i):
-        return any(m[i] for m in self.terms)
+        sh = self.sig._pk.shifts[i]
+        return any((m >> sh) & 0x7FFF for m in self.terms)
 
     def lm(self, order):
-        return max(self.terms, key=order.key)
+        return max(self.exponent_terms(), key=order.key)
 
     def lc(self, order):
-        return self.terms[self.lm(order)]
+        terms = self.exponent_terms()
+        return terms[max(terms, key=order.key)]
 
     def sorted_terms(self, order):
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+        return sorted(self.exponent_terms().items(), key=lambda mc: order.key(mc[0]),
+                      reverse=True)
 
     # -- slot surgery -----------------------------------------------------------
     def embed(self, new_sig):
         """Map into a larger signature by generator name."""
         mapping = [new_sig.slot(n) for n in self.sig.names]
-        out = WeylOperator(new_sig)
-        for m, c in self.terms.items():
+        out = {}
+        for m, c in self.exponent_terms().items():
             m2 = [0] * new_sig.nslots
             for i, e in enumerate(m):
-                if e:
-                    m2[mapping[i]] = e
-            out.terms[tuple(m2)] = c
-        return out
+                m2[mapping[i]] = e
+            out[tuple(m2)] = c
+        return WeylOperator(new_sig, out)
 
     def strip_slots(self, names, new_sig=None):
         """Remove generators (which must not occur) from the signature."""
         drop = {self.sig.slot(n) for n in names}
         if new_sig is None:
             new_sig = self.sig.without_extras(*names)
-        keep = [i for i in range(self.sig.nslots) if i not in drop]
-        out = WeylOperator(new_sig)
-        for m, c in self.terms.items():
-            if any(m[i] for i in drop):
-                raise SignatureMismatch(f"operator uses stripped generator(s) {names}")
-            out.terms[tuple(m[i] for i in keep)] = c
-        return out
+        if any(self.uses_slot(i) for i in drop):
+            raise SignatureMismatch(f"operator uses stripped generator(s) {names}")
+        return WeylOperator(new_sig, {tuple(e for i, e in enumerate(m) if i not in drop): c
+                                      for m, c in self.exponent_terms().items()})
 
     def subs_extra(self, name, value, new_sig=None):
         """Substitute a rational value for a central extra and drop its slot."""
@@ -428,79 +532,51 @@ class WeylOperator:
         value = QQ(value)
         if new_sig is None:
             new_sig = self.sig.without_extras(name)
-        keep = [j for j in range(self.sig.nslots) if j != i]
         res = {}
-        for m, c in self.terms.items():
-            c2 = c * value ** m[i]
-            m2 = tuple(m[j] for j in keep)
-            v = res.get(m2, QQ0) + c2
-            if v:
-                res[m2] = v
-            else:
-                res.pop(m2, None)
-        out = WeylOperator(new_sig)
-        out.terms = res
-        return out
+        for m, c in self.exponent_terms().items():
+            add_term(res, m[:i] + m[i + 1:], c * value ** m[i])
+        return WeylOperator(new_sig, res)
 
     def shift_extra(self, name, a):
         """P(..., v, ...) -> P(..., v + a, ...) for a central extra v."""
-        i = self.sig.slot(name)
+        sh = self.sig._pk.shifts[self.sig.slot(name)]
         a = QQ(a)
         res = {}
         for m, c in self.terms.items():
-            e = m[i]
+            e = (m >> sh) & 0x7FFF
             for k in range(e + 1):
                 c2 = c * math.comb(e, k) * a ** (e - k)
-                if not c2:
-                    continue
-                m2 = m[:i] + (k,) + m[i + 1:]
-                v = res.get(m2, QQ0) + c2
-                if v:
-                    res[m2] = v
-                else:
-                    res.pop(m2, None)
-        out = WeylOperator(self.sig)
-        out.terms = res
-        return out
+                if c2:
+                    add_term(res, m - ((e - k) << sh), c2)
+        return WeylOperator._of(self.sig, res)
+
+    def _slot_derivative(self, i):
+        sh = self.sig._pk.shifts[i]
+        res = {}
+        for m, c in self.terms.items():
+            e = (m >> sh) & 0x7FFF
+            if e:
+                add_term(res, m - (1 << sh), c * e)
+        return WeylOperator._of(self.sig, res)
 
     def deriv_extra(self, name):
         """Formal derivative with respect to a central extra."""
-        i = self.sig.slot(name)
-        out = WeylOperator(self.sig)
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                m2 = m[:i] + (e - 1,) + m[i + 1:]
-                out.terms[m2] = out.terms.get(m2, QQ0) + c * e
-        out.terms = {m: c for m, c in out.terms.items() if c}
-        return out
+        return self._slot_derivative(self.sig.slot(name))
 
     def x_derivative(self, i):
         """Commutative d/dx_i; requires a pure polynomial in the x's/extras."""
-        s = self.sig.x_slot(i)
-        out = WeylOperator(self.sig)
-        for m, c in self.terms.items():
-            e = m[s]
-            if e:
-                m2 = m[:s] + (e - 1,) + m[s + 1:]
-                out.terms[m2] = out.terms.get(m2, QQ0) + c * e
-        out.terms = {m: c for m, c in out.terms.items() if c}
-        return out
+        return self._slot_derivative(self.sig.x_slot(i))
 
     def coeff_of_extra_power(self, name, e):
         """Operator coefficient of (extra)^e, with the extra slot removed."""
         i = self.sig.slot(name)
-        new_sig = self.sig.without_extras(name)
-        keep = [j for j in range(self.sig.nslots) if j != i]
-        out = WeylOperator(new_sig)
-        for m, c in self.terms.items():
-            if m[i] == e:
-                out.terms[tuple(m[j] for j in keep)] = c
-        return out
+        return WeylOperator(self.sig.without_extras(name),
+                            {m[:i] + m[i + 1:]: c for m, c in self.exponent_terms().items()
+                             if m[i] == e})
 
     def max_extra_degree(self, name):
-        i = self.sig.slot(name)
-        return max((m[i] for m in self.terms), default=-1)
+        sh = self.sig._pk.shifts[self.sig.slot(name)]
+        return max(((m >> sh) & 0x7FFF for m in self.terms), default=-1)
 
     def eval_point(self, values):
         """Evaluate a commutative operator (no d-slots) at a point.
@@ -508,7 +584,7 @@ class WeylOperator:
         values maps generator name -> number; supports floats/mpf/QQ.
         """
         total = 0
-        for m, c in self.terms.items():
+        for m, c in self.exponent_terms().items():
             v = c
             for i, e in enumerate(m):
                 if e:
@@ -641,9 +717,7 @@ class ModuleOrder:
     def __hash__(self):
         return hash((self.term_order, self.position, self.top_comps))
 
-    def key(self, lab):
-        comp = lab[0]
-        mono = lab[1:]
+    def key(self, comp, mono):
         tkey = self.term_order.key(mono)
         if self.position == "tp":
             return tkey + (-comp,)
@@ -658,164 +732,42 @@ class ModuleOrder:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger on packed labelled monomials
-#
-# Inside the engine a monomial is a single integer with 16 bits per slot
-# (low slot first); a labelled monomial is (component, packed).  Monomial
-# product without commutation corrections is then one integer addition, and
-# divisibility is a subtraction plus a guard-bit test.
+# division and Buchberger on labelled packed monomials
 # ---------------------------------------------------------------------------
 
-_PACK_BITS = 16
-_PACK_MAX = (1 << (_PACK_BITS - 1)) - 1
-
-
-class _Pack:
-    __slots__ = ("nslots", "shifts", "guard", "dmask", "pairs", "h_shift")
-
-    def __init__(self, sig):
-        n = sig.nslots
-        self.nslots = n
-        self.shifts = tuple(i * _PACK_BITS for i in range(n))
-        self.guard = sum(1 << (i * _PACK_BITS + _PACK_BITS - 1) for i in range(n))
-        mask = (1 << _PACK_BITS) - 1
-        dm = 0
-        prs = []
-        for xs, ds in sig._pairs:
-            dm |= mask << (ds * _PACK_BITS)
-            prs.append((xs * _PACK_BITS, ds * _PACK_BITS))
-        self.dmask = dm
-        self.pairs = tuple(prs)
-        self.h_shift = sig.h_slot * _PACK_BITS if sig.h_slot is not None else None
-
-
-_PACK_CACHE = {}
-
-
-def _get_pack(sig):
-    pk = _PACK_CACHE.get(sig)
-    if pk is None:
-        pk = _PACK_CACHE[sig] = _Pack(sig)
-    return pk
-
-
-def _pack(pk, mono):
-    out = 0
-    for e, sh in zip(mono, pk.shifts):
-        if e > _PACK_MAX:
-            raise OverflowError("exponent too large for packed monomials")
-        out += e << sh
-    return out
-
-
-def _unpack(pk, packed):
-    return tuple((packed >> sh) & 0x7FFF for sh in pk.shifts)
-
-
-def _pdeg(pk, packed):
-    total = 0
-    for sh in pk.shifts:
-        total += (packed >> sh) & 0x7FFF
-    return total
-
-
 class _Red:
-    __slots__ = ("lm", "lc", "terms", "sugar", "key")
+    __slots__ = ("lm", "comp", "lc", "terms", "sugar", "key")
 
     def __init__(self, terms, keyf, pk):
         self.terms = tuple(terms.items())
         self.lm = max(terms, key=keyf)
+        self.comp = self.lm >> pk.cshift
         self.lc = terms[self.lm]
         self.key = keyf(self.lm)
-        self.sugar = max(_pdeg(pk, lab[1]) for lab in terms)
+        self.sugar = max(_pdeg(pk, lab) for lab in terms)
 
 
 def _neg_key(key):
     return tuple(-v for v in key)
 
 
-def _mono_mul_packed(pk, A, B):
-    """Normally ordered product of packed monomials as ((packed, int), ...)."""
-    base = A + B
-    inter = None
-    for xsh, dsh in pk.pairs:
-        a = (A >> dsh) & 0x7FFF
-        if a:
-            b = (B >> xsh) & 0x7FFF
-            if b:
-                if inter is None:
-                    inter = []
-                inter.append((xsh, dsh, a, b))
-    if inter is None:
-        return ((base, 1),)
-    hs = pk.h_shift
-    out = [(base, 1)]
-    for xsh, dsh, a, b in inter:
-        nxt = []
-        for m, c in out:
-            for k in range(min(a, b) + 1):
-                cc = c * math.comb(a, k) * math.comb(b, k) * math.factorial(k)
-                m2 = m - (k << xsh) - (k << dsh)
-                if hs is not None:
-                    m2 += (2 * k) << hs
-                nxt.append((m2, cc))
-        out = nxt
-    return out
-
-
-def _term_mul_into(pk, res, coef, quot, terms, inserted=None):
-    """res += coef * (quot (x) each labelled term), in place.
-
-    terms is a sequence of (lab, coeff); inserted (when given) collects labels
-    that were newly created (updates of existing entries are not reported).
-    """
-    get = res.get
-    if quot & pk.dmask == 0:
-        # no derivation exponents on the left: plain exponent addition
-        for lab, c in terms:
-            lab2 = (lab[0], lab[1] + quot)
-            old = get(lab2)
-            if old is None:
-                res[lab2] = coef * c
-                if inserted is not None:
-                    inserted.append(lab2)
-            else:
-                v = old + coef * c
-                if v:
-                    res[lab2] = v
-                else:
-                    del res[lab2]
-        return
-    for lab, c in terms:
-        comp = lab[0]
-        cc = coef * c
-        for m2, k in _mono_mul_packed(pk, quot, lab[1]):
-            lab2 = (comp, m2)
-            old = get(lab2)
-            if old is None:
-                res[lab2] = cc * k
-                if inserted is not None:
-                    inserted.append(lab2)
-            else:
-                v = old + cc * k
-                if v:
-                    res[lab2] = v
-                else:
-                    del res[lab2]
-
-
 def _nf(p, reds, pk, keyf, track=False, sparsest=False):
-    """Left normal form of a packed labelled-term dict against reducers.
+    """Left normal form of a labelled term dict against reducers.
 
     Returns (remainder dict, cofactors), cofactors[i] a packed-mono -> coeff
     dict with p = sum_i cofactor_i * reds_i + remainder.  The reducer is the
     first match in listing order, or the one with fewest terms when sparsest
     is set (less fill-in during basis completion; both are deterministic).
+    Only reducers of the term's component are scanned.
     """
     work = dict(p)
     rem = {}
     cof = [dict() for _ in reds] if track else None
     guard = pk.guard
+    cs = pk.cshift
+    by_comp = {}
+    for i, r in enumerate(reds):
+        by_comp.setdefault(r.comp, []).append((i, r))
     ncache = {}
 
     def nkey(lab):
@@ -832,22 +784,19 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
         c = work.get(lab)
         if not c:
             continue
-        comp, m = lab
         red = None
         quot = 0
         idx = -1
         best = None
-        for i, r in enumerate(reds):
-            rlm = r.lm
-            if rlm[0] == comp:
-                d = m - rlm[1]
-                if d >= 0 and not (d & guard):
-                    if not sparsest:
-                        red, quot, idx = r, d, i
-                        break
-                    size = len(r.terms)
-                    if best is None or size < best:
-                        red, quot, idx, best = r, d, i, size
+        for i, r in by_comp.get(lab >> cs, ()):
+            d = lab - r.lm
+            if d >= 0 and not (d & guard):
+                if not sparsest:
+                    red, quot, idx = r, d, i
+                    break
+                size = len(r.terms)
+                if best is None or size < best:
+                    red, quot, idx, best = r, d, i, size
         if red is None:
             rem[lab] = c
             del work[lab]
@@ -862,8 +811,7 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
         if lab in work:  # cancellation is exact; the leading term must go
             raise AssertionError("leading term failed to cancel")
         if track:
-            dct = cof[idx]
-            dct[quot] = dct.get(quot, QQ0) + coef
+            add_term(cof[idx], quot, coef)
     return rem, cof
 
 
@@ -900,25 +848,24 @@ def last_gb_stats():
     return _LAST_STATS
 
 
-def _check_weight_admissibility(gens, order):
+def _check_weight_admissibility(gens, order, pk):
     """Negative-weight orders are only run on graded input.
 
     Acceptable gradings: total degree (the Bernstein-homogenized setting) or
     weight-homogeneity with respect to every negative row.  Either keeps the
     division loop inside finite graded pieces, which restores termination.
     """
-    term_order = order.term_order if isinstance(order, ModuleOrder) else order
+    term_order = order.term_order
     if not term_order.has_negative_row:
         return
-    def total_graded(g):
-        return len({sum(m[1:]) for m in g}) <= 1
     for g in gens:
-        if total_graded(g):
+        exps = [_unpack(pk, lab) for lab in g]
+        if len({sum(m) for m in exps}) <= 1:
             continue
         for row in term_order.weight_rows:
             if all(w >= 0 for w in row):
                 continue
-            ws = {sum(w * e for w, e in zip(row, m[1:])) for m in g}
+            ws = {sum(w * e for w, e in zip(row, m)) for m in exps}
             if len(ws) > 1:
                 raise NonHomogeneousInput(
                     "negative-weight order requires graded input; "
@@ -926,66 +873,62 @@ def _check_weight_admissibility(gens, order):
 
 
 def _make_keyf(order, pk):
-    """Order key on packed labelled monomials (decode, then the tuple key)."""
+    """ModuleOrder key on labelled packed monomials (decode, then the tuple key)."""
     okey = order.key
     shifts = pk.shifts
+    cs = pk.cshift
 
     def keyf(lab):
-        packed = lab[1]
-        return okey((lab[0],) + tuple((packed >> sh) & 0x7FFF for sh in shifts))
+        return okey(lab >> cs, tuple((lab >> sh) & 0x7FFF for sh in shifts))
 
     return keyf
 
 
 def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
                     pair_components=None):
-    """Reduced monic left Groebner basis of labelled-term dicts.
+    """Reduced monic left Groebner basis of labelled term dicts.
 
-    Input/output dicts are keyed by (component,) + exponent-tuple; internally
-    monomials are packed integers.  Deterministic: sugar-then-lcm pair
-    selection, first-match reduction, final basis sorted by leading monomial.
-    When pair_components is given, S-pairs are only formed between elements
-    whose leading components lie in that set; the other components ride along
-    as exact payload (used for representation tracking, where completeness
-    is only needed in front).
+    Input and output dicts map labelled packed monomials (the component in
+    the bits above the slots) to coefficients, under a ModuleOrder; an
+    operator's term dict is a rank-1 input.  Deterministic: sugar-then-lcm
+    pair selection, first-match reduction, final basis sorted by leading
+    monomial.  When pair_components is given, S-pairs are only formed between
+    elements whose leading components lie in that set; the other components
+    ride along as exact payload (used for representation tracking, where
+    completeness is only needed in front).
     """
     global _LAST_STATS
     stats = GBStats()
     _LAST_STATS = stats
-    _check_weight_admissibility(gens, order)
-    pk = _get_pack(sig)
+    pk = sig._pk
+    _check_weight_admissibility(gens, order, pk)
     keyf = _make_keyf(order, pk)
     guard = pk.guard
+    cs = pk.cshift
 
-    basis = []
-    for g in gens:
-        g = {(m[0], _pack(pk, m[1:])): QQ(c) for m, c in g.items() if c}
-        if g:
-            basis.append(_Red(_primitive(g, keyf), keyf, pk))
+    basis = [_Red(_primitive(g, keyf), keyf, pk) for g in gens if g]
     basis.sort(key=lambda r: r.key)
 
     def lcm_of(a, b):
-        am, bm = a.lm[1], b.lm[1]
-        out = 0
+        am, bm = a.lm, b.lm
+        out = a.comp << cs
         for sh in pk.shifts:
             out += max((am >> sh) & 0x7FFF, (bm >> sh) & 0x7FFF) << sh
-        return (a.lm[0], out)
+        return out
 
     pairs = []
     def push_pairs(j):
         rj = basis[j]
-        if pair_components is not None and rj.lm[0] not in pair_components:
+        if pair_components is not None and rj.comp not in pair_components:
             return
         for i in range(j):
             ri = basis[i]
-            if ri.lm[0] != rj.lm[0]:
-                continue
-            if pair_components is not None and ri.lm[0] not in pair_components:
+            if ri.comp != rj.comp:
                 continue
             l = lcm_of(ri, rj)
-            dl = _pdeg(pk, l[1])
-            sugar = max(ri.sugar + dl - _pdeg(pk, ri.lm[1]),
-                        rj.sugar + dl - _pdeg(pk, rj.lm[1]))
+            dl = _pdeg(pk, l)
+            sugar = max(ri.sugar + dl - _pdeg(pk, ri.lm),
+                        rj.sugar + dl - _pdeg(pk, rj.lm))
             heapq.heappush(pairs, (sugar, keyf(l), i, j, l))
 
     for j in range(len(basis)):
@@ -999,23 +942,20 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         fi, fj = basis[i], basis[j]
         # chain criterion, stateless proper-divisor form
         skip = False
-        lm_comp, lm_mono = l
         for k, fk in enumerate(basis):
-            if k == i or k == j:
+            if k == i or k == j or fk.comp != fi.comp:
                 continue
-            klm = fk.lm
-            if klm[0] == lm_comp:
-                d = lm_mono - klm[1]
-                if d >= 0 and not (d & guard):
-                    if lcm_of(fi, fk) != l and lcm_of(fj, fk) != l:
-                        skip = True
-                        break
+            d = l - fk.lm
+            if d >= 0 and not (d & guard):
+                if lcm_of(fi, fk) != l and lcm_of(fj, fk) != l:
+                    skip = True
+                    break
         if skip:
             stats.pairs_skipped += 1
             continue
         s = {}
-        _term_mul_into(pk, s, QQ1 / fi.lc, lm_mono - fi.lm[1], fi.terms)
-        _term_mul_into(pk, s, -(QQ1 / fj.lc), lm_mono - fj.lm[1], fj.terms)
+        _term_mul_into(pk, s, QQ1 / fi.lc, l - fi.lm, fi.terms)
+        _term_mul_into(pk, s, -(QQ1 / fj.lc), l - fj.lm, fj.terms)
         rem, _ = _nf(s, basis, pk, keyf, sparsest=True)
         if rem:
             basis.append(_Red(_primitive(rem, keyf), keyf, pk))
@@ -1029,11 +969,10 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     for r in basis:
         ok = True
         for k in kept:
-            if k.lm[0] == r.lm[0]:
-                d = r.lm[1] - k.lm[1]
-                if d >= 0 and not (d & guard):
-                    ok = False
-                    break
+            d = r.lm - k.lm
+            if k.comp == r.comp and d >= 0 and not (d & guard):
+                ok = False
+                break
         if ok:
             kept.append(r)
     # tail-reduce each against the others
@@ -1044,52 +983,25 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         reduced.append(_monic(rem, keyf))
     reduced.sort(key=lambda t: keyf(max(t, key=keyf)))
     stats.basis_size = len(reduced)
-    return [{(lab[0],) + _unpack(pk, lab[1]): c for lab, c in t.items()}
-            for t in reduced]
+    return reduced
 
 
 # ---------------------------------------------------------------------------
 # operator-level wrappers
 # ---------------------------------------------------------------------------
 
-def _to_lab(op):
-    return {(0,) + m: c for m, c in op.terms.items()}
+def _join(pk, vec):
+    """Labelled term dict of a vector of operators (component i above the slots)."""
+    cs = pk.cshift
+    return {m + (i << cs): c for i, op in enumerate(vec) for m, c in op.terms.items()}
 
 
-def _from_lab(lab, sig):
-    out = WeylOperator(sig)
-    out.terms = {m[1:]: c for m, c in lab.items()}
-    return out
-
-
-def _vec_to_lab(vec):
-    lab = {}
-    for comp, op in enumerate(vec):
-        for m, c in op.terms.items():
-            lab[(comp,) + m] = c
-    return lab
-
-
-def _lab_to_vec(lab, sig, rank):
-    vec = [WeylOperator(sig) for _ in range(rank)]
+def _split(pk, lab, sig, rank):
+    """Inverse of _join: the vector of operators of a labelled term dict."""
+    vec = [{} for _ in range(rank)]
     for m, c in lab.items():
-        vec[m[0]].terms[m[1:]] = c
-    return tuple(vec)
-
-
-def _nf_ops(p_lab, gen_labs, sig, morder, track=False):
-    """Normal form on tuple-labelled dicts via the packed engine."""
-    pk = _get_pack(sig)
-    keyf = _make_keyf(morder, pk)
-    reds = [_Red({(m[0], _pack(pk, m[1:])): c for m, c in g.items()}, keyf, pk)
-            for g in gen_labs]
-    packed_p = {(m[0], _pack(pk, m[1:])): c for m, c in p_lab.items()}
-    rem, cof = _nf(packed_p, reds, pk, keyf, track=track)
-    rem_t = {(lab[0],) + _unpack(pk, lab[1]): c for lab, c in rem.items()}
-    if not track:
-        return rem_t, None
-    cof_t = [{_unpack(pk, m): c for m, c in d.items()} for d in cof]
-    return rem_t, cof_t
+        vec[m >> pk.cshift][m & pk.smask] = c
+    return tuple(WeylOperator._of(sig, t) for t in vec)
 
 
 def normal_form(p, gens, order=None, track_cofactors=False):
@@ -1104,25 +1016,16 @@ def normal_form(p, gens, order=None, track_cofactors=False):
     for g in gens:
         if g.sig != sig:
             raise SignatureMismatch("normal_form operands differ in signature")
-    order = order or TermOrder.grevlex(sig)
-    morder = ModuleOrder(order)
-    rem, cof = _nf_ops(_to_lab(p), [_to_lab(g) for g in gens if g.terms],
-                       sig, morder, track=track_cofactors)
-    r = _from_lab(rem, sig)
+    pk = sig._pk
+    keyf = _make_keyf(ModuleOrder(order or TermOrder.grevlex(sig)), pk)
+    rem, cof = _nf(p.terms, [_Red(g.terms, keyf, pk) for g in gens if g], pk, keyf,
+                   track=track_cofactors)
+    r = WeylOperator._of(sig, rem)
     if not track_cofactors:
         return r, None
-    cofactors = []
-    i = 0
-    for g in gens:
-        if g.terms:
-            d = cof[i]
-            i += 1
-            op = WeylOperator(sig)
-            op.terms = {m: c for m, c in d.items() if c}
-            cofactors.append(op)
-        else:
-            cofactors.append(WeylOperator.zero(sig))
-    return r, cofactors
+    cof = iter(cof)
+    return r, [WeylOperator._of(sig, next(cof)) if g else WeylOperator.zero(sig)
+               for g in gens]
 
 
 @dataclass(frozen=True)
@@ -1142,10 +1045,9 @@ class IdealPresentation:
         order = order or TermOrder.grevlex(self.sig)
         if self.cached_gb is not None and self.cached_order == order:
             return self
-        morder = ModuleOrder(order)
-        basis = groebner_engine([_to_lab(g) for g in self.generators],
-                                self.sig, morder, deadline, stage)
-        ops = tuple(_from_lab(b, self.sig) for b in basis)
+        basis = groebner_engine([g.terms for g in self.generators],
+                                self.sig, ModuleOrder(order), deadline, stage)
+        ops = tuple(WeylOperator._of(self.sig, b) for b in basis)
         return IdealPresentation(self.sig, self.generators, ops, order)
 
     def basis(self, order=None, deadline=None, stage="groebner"):
@@ -1191,17 +1093,20 @@ class SubmodulePresentation:
         order = order or ModuleOrder(TermOrder.grevlex(self.sig))
         if self.cached_gb is not None and self.cached_order == order:
             return self
-        basis = groebner_engine([_vec_to_lab(v) for v in self.generators],
+        pk = self.sig._pk
+        basis = groebner_engine([_join(pk, v) for v in self.generators],
                                 self.sig, order, deadline, stage)
-        vecs = tuple(_lab_to_vec(b, self.sig, self.rank) for b in basis)
+        vecs = tuple(_split(pk, b, self.sig, self.rank) for b in basis)
         return SubmodulePresentation(self.rank, self.sig, self.generators, vecs, order)
 
     def contains(self, vec, order=None):
         gb = self.groebner(order or self.cached_order)
-        gen_labs = [_vec_to_lab(v) for v in gb.cached_gb]
-        if not gen_labs:
+        if not gb.cached_gb:
             return all(op.is_zero() for op in vec)
-        rem, _ = _nf_ops(_vec_to_lab(vec), gen_labs, self.sig, gb.cached_order)
+        pk = self.sig._pk
+        keyf = _make_keyf(gb.cached_order, pk)
+        reds = [_Red(_join(pk, v), keyf, pk) for v in gb.cached_gb]
+        rem, _ = _nf(_join(pk, vec), reds, pk, keyf)
         return not rem
 
 
@@ -1264,18 +1169,15 @@ def represent(p, gens, deadline=None, stage="represent"):
     against the front-headed elements is minus a representation of p.
     """
     sig = p.sig
+    pk = sig._pk
     k = len(gens)
-    aug = []
-    for i, g in enumerate(gens):
-        lab = {(0,) + m: c for m, c in g.terms.items()}
-        lab[(1 + i,) + sig.zero_mono()] = QQ1
-        aug.append(lab)
+    aug = [{**g.terms, (1 + i) << pk.cshift: QQ1} for i, g in enumerate(gens)]
     order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[0])
-    keyf = order.key
+    keyf = _make_keyf(order, pk)
     basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
-    front = [b for b in basis if max(b, key=keyf)[0] == 0]
-    rem, _ = _nf_ops(_to_lab(p), front, sig, order)
-    vec = _lab_to_vec(rem, sig, k + 1)
+    front = [_Red(b, keyf, pk) for b in basis if max(b, key=keyf) >> pk.cshift == 0]
+    rem, _ = _nf(p.terms, front, pk, keyf)
+    vec = _split(pk, rem, sig, k + 1)
     if not vec[0].is_zero():
         return None
     return [-op for op in vec[1:]]
@@ -1288,7 +1190,7 @@ def univariate_generator(gens, var="s"):
     for g in gens:
         slot = g.sig.slot(var)
         coeffs = {}
-        for m, c in g.terms.items():
+        for m, c in g.exponent_terms().items():
             if any(e for i, e in enumerate(m) if i != slot and e):
                 raise ValueError(f"generator {g!r} is not a polynomial in {var}")
             coeffs[m[slot]] = c

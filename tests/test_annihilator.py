@@ -16,13 +16,36 @@ from holozeta import (
     d_np1,
     homogenize_w,
     psi_dehomogenize,
-    psi_embed,
     tau_substitute,
 )
-from holozeta.annihilator import _weight_row, tau_to_one
+from holozeta.annihilator import _weight_row
 from holozeta.oracle import LogSection, annihilates
 
 W = WeylOperator
+
+
+def tau_to_one(P):
+    """Map tau_h -> 1 and drop the unused sigma slot (inverse of homogenize_w)."""
+    sig = P.sig
+    sigma, tau = sig.slot("sigma"), sig.slot("tau_h")
+    out = W.zero(d_np1(sig.x_names))
+    for m, c in P.exponent_terms().items():
+        assert not m[sigma], "operator still uses sigma"
+        out = out + W(out.sig, {tuple(e for i, e in enumerate(m) if i not in (sigma, tau)): c})
+    return out
+
+
+def psi_embed(P, shift=0):
+    """Inverse of psi: S * P'(-dt t) expanded in D_{n+1} (for round trips)."""
+    sig_t = d_np1(P.sig.x_names)
+    t = W.gen(sig_t, "t")
+    dt = W.gen(sig_t, "dt")
+    minus_dtt = -(dt * t)
+    out = W.zero(sig_t)
+    for e in range(P.max_extra_degree("s") + 1):
+        out = out + P.coeff_of_extra_power("s", e).embed(sig_t) * minus_dtt ** e
+    S = t ** shift if shift >= 0 else dt ** (-shift)
+    return S * out
 
 
 def rand_op(sig, rng, max_terms=3, max_deg=2):

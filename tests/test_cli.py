@@ -238,3 +238,56 @@ def test_ann_fs_runs_without_saturation_assertion(tmp_path, capsys):
     rc = run(["bfun", str(p)])
     capsys.readouterr()
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# failures: input errors exit 3, internal failures exit 4, one line each
+# ---------------------------------------------------------------------------
+
+def test_run_exponent_above_limit_is_input_error(tmp_path, capsys):
+    p = tmp_path / "big.prob"
+    p.write_text("vars: x, y\nf: x^40000 - y^2\nannihilator: dx, dy\n"
+                 "assume_saturated: true\n")
+    rc = run(["bfun", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line 2, col" in err and "Traceback" not in err
+
+
+def test_run_laurent_k_below_pole_order_is_input_error(capsys):
+    rc = run(["laurent", prob("cusp.prob"), "--lambda0=-5/6", "--k=-5"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("input error:")
+
+
+def _internal_errors():
+    from holozeta.bfunction import NoBFunction, NotInIdeal
+    from holozeta.integration import NotHolonomic
+    from holozeta.oracle import OracleError
+    return [NoBFunction("no b-function found"), NotHolonomic("weight b-function is zero"),
+            OracleError("grid too short"), AssertionError(), NotInIdeal("b(s) is not in"),
+            OverflowError("exponent above 32767 in a product"), ValueError("internal\ndetail")]
+
+
+@pytest.mark.parametrize("exc", _internal_errors(), ids=lambda e: type(e).__name__)
+def test_run_internal_failure_exit_4(exc, monkeypatch, capsys):
+    import holozeta.cli
+
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(holozeta.cli, "ann_fs", fail)
+    rc = run(["bfun", prob("cusp.prob")])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {type(exc).__name__}")
+
+
+def test_run_functional_operator_membership_failure_exit_4(monkeypatch, capsys):
+    import importlib
+    bfunction_module = importlib.import_module("holozeta.bfunction")
+    monkeypatch.setattr(bfunction_module, "represent", lambda *a, **k: None)
+    rc = run(["funceq", prob("cusp.prob")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == "error: NotInIdeal: b(s) is not in ann + D_n[s] f\n"

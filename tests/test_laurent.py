@@ -22,9 +22,19 @@ from holozeta import (
 )
 from holozeta.laurent import default_shift
 from holozeta.oracle import LogSection, apply_log_section
-from holozeta.upoly import RatFunc
 
 W = WeylOperator
+
+
+class RatFunc:
+    """Rational function num/den over Q, gcd-reduced, den monic."""
+
+    def __init__(self, num, den):
+        g = num.gcd(den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
+        self.num = num * (QQ(1) / den.lead)
+        self.den = den.monic()
 
 
 def test_pole_order_examples():

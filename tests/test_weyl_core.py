@@ -78,8 +78,8 @@ def brute_multiply(p, q):
     """Multiply two operators monomial by monomial via word rewriting."""
     sig = p.sig
     res = {}
-    for mp, cp in p.terms.items():
-        for mq, cq in q.terms.items():
+    for mp, cp in p.exponent_terms().items():
+        for mq, cq in q.exponent_terms().items():
             word = []
             for i, e in enumerate(mp):
                 word += [i] * e
@@ -91,9 +91,7 @@ def brute_multiply(p, q):
                     res[mono] = v
                 else:
                     res.pop(mono, None)
-    out = W(sig)
-    out.terms = res
-    return out
+    return W(sig, res)
 
 
 def rand_op(sig, rng, max_terms=3, max_deg=3):
@@ -161,6 +159,26 @@ def test_multiply_matches_brute_force_random():
     for _ in range(40):
         a, b = rand_op(sig, rng, max_deg=2), rand_op(sig, rng, max_deg=2)
         assert a * b == brute_multiply(a, b)
+
+
+def test_exponent_overflow_raises():
+    # the true remainder is -x^42767, which no 15-bit exponent field holds
+    sig = d_n(("x", "y"))
+    p = W(sig, {(32767, 20000, 0, 0): 1})
+    g = W(sig, {(20000, 20000, 0, 0): 1, (30000, 0, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        normal_form(p, [g])
+    x20000 = W.gen(sig, "x", 20000)
+    with pytest.raises(OverflowError):
+        x20000 * x20000
+    with pytest.raises(OverflowError):
+        W.gen(sig, "x", 32768)
+    assert W.gen(sig, "x", 32766) * W.gen(sig, "x") == W.gen(sig, "x", 32767)
+    # the h^2k term of the homogenized Leibniz rule overflows on its own
+    hsig = d_n(("x",)).homogenize()
+    left = W.gen(hsig, "h", 32766) * W.gen(hsig, "dx")
+    with pytest.raises(OverflowError):
+        left * W.gen(hsig, "x")
 
 
 def test_signature_mismatch_rejected():
@@ -289,8 +307,8 @@ def _in_linear_span(p, span):
     rows = []
     for q in span:
         if not q.is_zero():
-            rows.append(dict(q.terms))
-    target = dict(p.terms)
+            rows.append(q.exponent_terms())
+    target = p.exponent_terms()
     for row in rows:
         pivot = max(row)
         if pivot in target and row.get(pivot):
@@ -448,6 +466,27 @@ def test_upoly_arithmetic_and_roots():
     assert sq.root_multiplicity(QQ(-5, 6)) == 2
 
 
+def test_upoly_gcd_shared_linear_factors():
+    s = UPoly.x()
+    a = UPoly.from_roots([QQ(1), QQ(-2, 3), QQ(-2, 3)]) * (s * s + 1)
+    b = UPoly.from_roots([QQ(-2, 3), QQ(5), QQ(1), QQ(1)]) * QQ(-7, 2)
+    assert a.gcd(b) == UPoly.from_roots([QQ(1), QQ(-2, 3)])
+    assert b.gcd(a) == a.gcd(b)
+    assert a.gcd(a * QQ(3)) == a.monic()
+    assert a.gcd(UPoly.from_roots([QQ(2)])) == UPoly.one()
+    assert UPoly.zero().gcd(b) == b.monic() and b.gcd(UPoly.zero()) == b.monic()
+    assert not UPoly.zero().gcd(UPoly.zero())
+
+
+def test_upoly_gcd_with_derivative_degree_52():
+    # roots 0..40 are simple; the repeated factors survive in gcd(p, p')
+    rep = UPoly.from_roots([QQ(-3, 7)]) ** 2 * UPoly((5, 0, 1)) ** 3
+    p = UPoly.from_roots([QQ(r) for r in range(41)]) * rep * UPoly((QQ(3, 7), 1))
+    p = p * UPoly((5, 0, 1))
+    assert p.degree == 52
+    assert p.gcd(p.deriv()) == rep.monic()
+
+
 def test_upoly_integer_roots():
     p = UPoly.from_roots([QQ(0), QQ(3), QQ(-2), QQ(1, 2)])
     assert p.integer_roots_max() == 3
@@ -561,5 +600,5 @@ def test_cached_basis_is_reduced_and_monic():
             if i == j:
                 continue
             lm = other.lm(order)
-            for m in g.terms:
+            for m in g.exponent_terms():
                 assert not all(a >= b for a, b in zip(m, lm)), (i, j)
