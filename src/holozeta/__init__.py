@@ -26,9 +26,9 @@ from .weyl_core import (
     d_n_s,
     d_np1,
     eliminate,
+    minimal_polynomial,
     normal_form,
     represent,
-    univariate_generator,
 )
 from .upoly import UPoly
 from .annihilator import (

@@ -1,9 +1,11 @@
 """Generalized b-functions and functional-equation operators.
 
-b is the monic generator of C[s] cap (Ann(f^s (x) u) + D_n[s] f), found by a
-block elimination of the x/dx slots.  A functional operator P0 with
-P0(s) f^(s+1) (x) u = b(s) f^s (x) u is recovered from an exact representation
-b = sum a_i g_i + P0 f produced by the module engine.
+b is the monic generator of C[s] cap (Ann(f^s (x) u) + D_n[s] f): the minimal
+polynomial of s on D_n[s]/(Ann + D_n[s] f), found as the first linear
+dependency among the normal forms of 1, s, s^2, ... against one grevlex
+basis.  A functional operator P0 with P0(s) f^(s+1) (x) u = b(s) f^s (x) u is
+recovered from an exact representation b = sum a_i g_i + P0 f produced by the
+module engine.
 """
 from __future__ import annotations
 
@@ -13,15 +15,14 @@ from .upoly import UPoly
 from .weyl_core import (
     QQ,
     IdealPresentation,
-    TermOrder,
     WeylOperator,
+    minimal_polynomial,
     represent,
-    univariate_generator,
 )
 
 
 class NoBFunction(RuntimeError):
-    """The elimination ideal met C[s] trivially (non-holonomic input)."""
+    """C[s] meets ann + D_n[s] f trivially (non-holonomic input)."""
 
 
 class NotInIdeal(RuntimeError, ValueError):
@@ -47,7 +48,7 @@ class BFunction:
     @classmethod
     def from_upoly(cls, p):
         if not p:
-            raise NoBFunction("no b-function found")
+            raise NoBFunction("no b-function found (input not holonomic?)")
         p = p.monic()
         roots, rest = p.rational_roots()
         return cls(p, tuple(roots), rest)
@@ -117,15 +118,8 @@ def bfunction(ann, f, deadline=None):
     sig_s = ann.sig
     fs = f.embed(sig_s) if f.sig != sig_s else f
     ideal = IdealPresentation.make(sig_s, list(ann.generators) + [fs])
-    front = [n for n in sig_s.names if n != "s"]
-    order = TermOrder.elimination(sig_s, front)
-    gb = ideal.groebner(order, deadline, stage="b-function-elimination")
-    s_slot = sig_s.slot("s")
-    pure = [g for g in gb.cached_gb
-            if all(not g.uses_slot(i) for i in range(sig_s.nslots) if i != s_slot)]
-    b = univariate_generator(pure) if pure else UPoly.zero()
-    if not b:
-        raise NoBFunction("no b-function found (input not holonomic?)")
+    b = minimal_polynomial(WeylOperator.gen(sig_s, "s"), ideal, deadline,
+                           stage="b-function-elimination")
     return BFunction.from_upoly(b)
 
 

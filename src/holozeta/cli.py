@@ -3,9 +3,10 @@
 Commands: ann-fs, bfun, funceq, laurent, zeta-diff, verify.  Problem files
 are declarative "key: value" documents; all results are emitted as canonical
 strings (print/parse round trips exactly) plus an optional JSON document.
-Exit codes: 0 success, 2 stage timeout, 3 input error (syntax, exponents
-above MAX_EXPONENT, the problem instance or Laurent request checks),
-4 internal failure; a failure prints one line on stderr, no traceback.
+Exit codes: 0 success, 2 timeout (one --timeout deadline covers the whole
+command), 3 input error (syntax, exponents above MAX_EXPONENT, the problem
+instance or Laurent request checks), 4 internal failure; a failure prints one
+line on stderr, no traceback.
 """
 from __future__ import annotations
 
@@ -454,7 +455,7 @@ def build_parser():
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timing in the JSON document")
         p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                       help="per-stage wall clock limit")
+                       help="wall clock limit for the whole command")
         p.add_argument("--lambda0", type=str, default=None,
                        help="expansion point (rational p/q)")
         p.add_argument("--k", type=int, default=None, help="Laurent index")

@@ -4,8 +4,9 @@ The integral module D_{n+1}/(J + dx_1 D_{n+1} + ... + dx_n D_{n+1}) is the
 restriction to x = 0 of the Fourier transform of J (x_j -> dx_j,
 dx_j -> -x_j, t and dt fixed).  The restriction is computed the standard way:
 a w-adapted Groebner basis for the weight w(x) = -1, w(dx) = +1 obtained
-through Bernstein homogenization, the weight b-function b_w(theta) by
-eliminating everything but theta = sum x_j dx_j, truncation at the largest
+through Bernstein homogenization, the weight b-function b_w(theta) as the
+minimal polynomial of theta = sum x_j dx_j modulo in_w(J) (linear algebra on
+normal forms against one grevlex basis), truncation at the largest
 nonnegative integer root k0, and an exact module elimination over
 D_1 = C<t, dt>.  The Mellin map mu(t) = E, mu(dt) = -s E^{-1} then turns the
 D_1-annihilator of the class of 1 into difference operators for
@@ -28,8 +29,8 @@ from .weyl_core import (
     add_term,
     component_zero_ideal,
     d_1,
+    minimal_polynomial,
     rational_content,
-    univariate_generator,
 )
 
 
@@ -130,24 +131,13 @@ def weight_bfunction(ideal, deadline=None, adapted=None):
         adapted = w_adapted_basis(ideal, deadline=deadline)
     row = _w_row(sig)
     initials = [g.initial_form(row) for g in adapted]
-    sig_th = sig.with_extras("th")
-    theta = WeylOperator.zero(sig_th)
-    for i in range(sig.n_x):
-        theta = theta + (WeylOperator.gen(sig_th, sig.x_names[i])
-                         * WeylOperator.gen(sig_th, "d" + sig.x_names[i]))
-    gens = [g.embed(sig_th) for g in initials]
-    gens.append(theta - WeylOperator.gen(sig_th, "th"))
-    front = [n for n in sig_th.names if n != "th"]
-    order = TermOrder.elimination(sig_th, front)
-    gb = IdealPresentation.make(sig_th, gens).groebner(order, deadline,
-                                                       stage="theta-elimination")
-    th_slot = sig_th.slot("th")
-    pure = [g for g in gb.cached_gb
-            if all(not g.uses_slot(i) for i in range(sig_th.nslots) if i != th_slot)]
-    bw = univariate_generator(pure, var="th") if pure else UPoly.zero()
+    theta = sum((WeylOperator.gen(sig, x) * WeylOperator.gen(sig, "d" + x)
+                 for x in sig.x_names), WeylOperator.zero(sig))
+    bw = minimal_polynomial(theta, IdealPresentation.make(sig, initials), deadline,
+                            stage="theta-elimination")
     if not bw:
         raise NotHolonomic("weight b-function is zero: not holonomic along the restriction")
-    return bw.monic()
+    return bw
 
 
 def _dx_monomials(sig, max_weight):
@@ -265,10 +255,6 @@ class DifferenceOperator:
     @property
     def max_power(self):
         return max(self.coeffs)
-
-    @property
-    def min_power(self):
-        return min(self.coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)

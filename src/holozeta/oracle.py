@@ -349,13 +349,6 @@ class ZetaValues:
     values: list
     errors: list
 
-    def value_at(self, lam):
-        lam = QQ(lam)
-        for l, v in zip(self.lambdas, self.values):
-            if QQ(l) == lam:
-                return v
-        raise KeyError(f"lambda = {lam} not sampled")
-
 
 def _f_callable(f):
     sig = f.sig

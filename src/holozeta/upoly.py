@@ -133,9 +133,6 @@ class UPoly:
                 r[k + i] -= f * b
         return UPoly(q), UPoly(r)
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if r:

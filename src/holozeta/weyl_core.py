@@ -18,6 +18,7 @@ case as it stands.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -157,19 +158,12 @@ class RingSignature:
         return self.t_slot + 1
 
     # -- derived signatures --------------------------------------------------
-    def with_extras(self, *names):
-        return RingSignature(self.x_names, self.has_t, self.extras + tuple(names),
-                             self.homogenized)
-
     def without_extras(self, *names):
         extras = tuple(e for e in self.extras if e not in names)
         return RingSignature(self.x_names, self.has_t, extras, self.homogenized)
 
     def homogenize(self):
         return RingSignature(self.x_names, self.has_t, self.extras, True)
-
-    def dehomogenize(self):
-        return RingSignature(self.x_names, self.has_t, self.extras, False)
 
     def unit_mono(self, name, exp=1):
         m = [0] * self.nslots
@@ -453,8 +447,13 @@ class WeylOperator:
         if e < 0:
             raise ValueError("negative operator power")
         out = WeylOperator.one(self.sig)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     # -- structure queries ----------------------------------------------------
@@ -1128,24 +1127,16 @@ def eliminate(ideal, kill, deadline=None, stage="elimination"):
 
 
 def colon_kernel(vec, module, deadline=None, stage="colon"):
-    """{P : P * vec in module}, via the augmented module D(1, vec) + (0, J)."""
+    """{P : P * vec in module}: the component-0 ideal of D(1, vec) + (0, J)."""
     rank = module.rank
     if len(vec) != rank:
         raise ValueError("vector length does not match module rank")
     sig = module.sig
-    aug = []
-    one = (WeylOperator.one(sig),) + tuple(vec)
-    aug.append(one)
     zero = WeylOperator.zero(sig)
-    for g in module.generators:
-        aug.append((zero,) + tuple(g))
-    order = ModuleOrder(TermOrder.grevlex(sig), position="pt",
-                        top_comps=range(1, rank + 1))
-    pres = SubmodulePresentation.make(rank + 1, sig, aug)
-    gb = pres.groebner(order, deadline, stage)
-    gens = [v[0] for v in gb.cached_gb if all(op.is_zero() for op in v[1:])]
-    out = IdealPresentation.make(sig, gens)
-    return out.groebner(TermOrder.grevlex(sig), deadline, stage)
+    aug = [(WeylOperator.one(sig),) + tuple(vec)]
+    aug += [(zero,) + tuple(g) for g in module.generators]
+    return component_zero_ideal(SubmodulePresentation.make(rank + 1, sig, aug), 0,
+                                deadline, stage)
 
 
 def component_zero_ideal(module, comp=0, deadline=None, stage="component-colon"):
@@ -1183,23 +1174,54 @@ def represent(p, gens, deadline=None, stage="represent"):
     return [-op for op in vec[1:]]
 
 
-def univariate_generator(gens, var="s"):
-    """Monic gcd of operators that are commutative polynomials in one extra."""
+def _krull_dim(pk, monos):
+    """Krull dimension of the monomial ideal the packed monomials generate: the
+    size of the largest slot set containing no generator's support, -1 for 1."""
+    supports = [sum(1 << i for i, sh in enumerate(pk.shifts) if (m >> sh) & 0x7FFF)
+                for m in monos]
+    return max((free.bit_count() for free in range(1 << len(pk.shifts))
+                if all(sup & ~free for sup in supports)), default=-1)
+
+
+def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
+    """Monic generator b of {b : b(op) in ideal}, by linear algebra over Q.
+
+    The normal form against one grevlex basis is Q-linear and the ideal is a
+    left ideal, so r_0 = NF(1), r_{i+1} = NF(op * r_i) is NF(op^i) even for a
+    non-central op, and the first linear dependency among the r_i is b.
+    Returns 1 for the unit ideal, and 0 when the leading monomials have Krull
+    dimension above the number of x/dx pairs: the quotient is then not
+    holonomic, while a holonomic quotient has a b, which ends the loop.
+    """
     from .upoly import UPoly
-    polys = []
-    for g in gens:
-        slot = g.sig.slot(var)
-        coeffs = {}
-        for m, c in g.exponent_terms().items():
-            if any(e for i, e in enumerate(m) if i != slot and e):
-                raise ValueError(f"generator {g!r} is not a polynomial in {var}")
-            coeffs[m[slot]] = c
-        if coeffs:
-            lst = [QQ0] * (max(coeffs) + 1)
-            for e, c in coeffs.items():
-                lst[e] = c
-            polys.append(UPoly(lst))
-    out = UPoly.zero()
-    for p in polys:
-        out = out.gcd(p)
-    return out
+    sig = ideal.sig
+    pk = sig._pk
+    order = TermOrder.grevlex(sig)
+    keyf = _make_keyf(ModuleOrder(order), pk)
+    reds = [_Red(g.terms, keyf, pk) for g in ideal.basis(order, deadline, stage)]
+    if any(r.lm == 0 for r in reds):
+        return UPoly.one()
+    if _krull_dim(pk, [r.lm for r in reds]) > len(sig.pairs):
+        return UPoly.zero()
+    # echelon rows [r_i | e_i] scaled to 1 at their pivot; the coefficient of
+    # r_k rides on the negative key -1-k, below every packed monomial
+    rows = []
+    r = {0: QQ1}               # NF(1): no leading monomial divides 1
+    for i in itertools.count():
+        if deadline is not None and time.monotonic() > deadline:
+            raise GBTimeout(stage, len(reds), 0)
+        vec = {**r, -1 - i: QQ1}
+        for piv, row in rows:
+            c = vec.get(piv)
+            if c:
+                for m, a in row.items():
+                    add_term(vec, m, -c * a)
+        piv = max(vec)
+        if piv < 0:
+            return UPoly([vec.get(-1 - k, QQ0) for k in range(i + 1)])
+        inv = QQ1 / vec[piv]
+        rows.append((piv, {m: a * inv for m, a in vec.items()}))
+        prod = {}
+        for m, c in op.terms.items():
+            _term_mul_into(pk, prod, c, m, r.items())
+        r = _nf(prod, reds, pk, keyf)[0]

@@ -1,18 +1,26 @@
 """b-functions, functional-equation operators, shifted compositions."""
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holozeta import (
     QQ,
+    GBTimeout,
+    IdealPresentation,
     ProblemInstance,
+    TermOrder,
     UPoly,
     WeylOperator,
     ann_fs,
     bfunction,
     d_n,
     functional_operator,
+    minimal_polynomial,
     shift_compose,
 )
-from holozeta.bfunction import BFunction
+from holozeta.bfunction import BFunction, NoBFunction
 from holozeta.oracle import LogSection, apply_log_section
 
 W = WeylOperator
@@ -38,6 +46,102 @@ def test_bfunction_cusp_gaussian_weight(inst_cusp_gauss):
 def test_bfunction_ex4(inst_ex4):
     b = bfunction(ann_fs(inst_ex4), inst_ex4.f)
     assert b.factored_str() == "(s+1)"
+
+
+def test_bfunction_ex3_is_one(inst_ex3):
+    # ann + D_1[s] f is the unit ideal
+    b = bfunction(ann_fs(inst_ex3), inst_ex3.f)
+    assert b.poly == UPoly.one()
+    assert b.factored_str() == "1"
+
+
+def _b_ideal(ann, f):
+    """ann + D_n[s] f."""
+    sig_s = ann.sig
+    return IdealPresentation.make(sig_s, list(ann.generators) + [f.embed(sig_s)])
+
+
+def test_bfunction_past_deadline_times_out(inst_cusp):
+    ann = ann_fs(inst_cusp)
+    with pytest.raises(GBTimeout):
+        bfunction(ann, inst_cusp.f, deadline=time.monotonic() - 1)
+    # with the grevlex basis already cached, the linear-algebra loop itself
+    # must notice the deadline
+    ideal = _b_ideal(ann, inst_cusp.f).groebner()
+    s = W.gen(ann.sig, "s")
+    with pytest.raises(GBTimeout, match="b-stage"):
+        minimal_polynomial(s, ideal, deadline=time.monotonic() - 1, stage="b-stage")
+
+
+def _instance_d2(f_of, *phi_names):
+    """f = f_of(x, y) with I generated by the named operators in D_2."""
+    sig = d_n(("x", "y"))
+    x, y = W.gen(sig, "x"), W.gen(sig, "y")
+    return ProblemInstance.make(("x", "y"), f_of(x, y), [W.gen(sig, n) for n in phi_names])
+
+
+def test_bfunction_non_holonomic_dy():
+    inst = _instance_d2(lambda x, y: x, "dy")
+    with pytest.raises(NoBFunction):
+        bfunction(ann_fs(inst), inst.f)
+
+
+def test_bfunction_non_holonomic_dx():
+    # D_2/<dx> is not holonomic, against the documented contract on I.  The
+    # elimination route found s + 1 here; the quotient by ann + D_2[s] f has
+    # dimension 3 > 2, so no b-function is claimed.
+    inst = _instance_d2(lambda x, y: x, "dx")
+    with pytest.raises(NoBFunction):
+        bfunction(ann_fs(inst), inst.f)
+
+
+# ---------------------------------------------------------------------------
+# reference: b as the gcd of the pure-s elements of an elimination basis
+# ---------------------------------------------------------------------------
+
+def _bfunction_by_elimination(ann, f):
+    """Monic gcd of the basis elements free of x and dx, under a block order
+    eliminating every generator but s."""
+    sig_s = ann.sig
+    front = [n for n in sig_s.names if n != "s"]
+    gb = _b_ideal(ann, f).basis(TermOrder.elimination(sig_s, front))
+    s_slot = sig_s.slot("s")
+    b = UPoly.zero()
+    for g in gb:
+        terms = g.exponent_terms()
+        if any(e for m in terms for i, e in enumerate(m) if i != s_slot):
+            continue
+        coeffs = [QQ(0)] * (max(m[s_slot] for m in terms) + 1)
+        for m, c in terms.items():
+            coeffs[m[s_slot]] = c
+        b = b.gcd(UPoly(coeffs))
+    return b
+
+
+def _assert_routes_agree(inst):
+    ann = ann_fs(inst)
+    s = W.gen(ann.sig, "s")
+    b = minimal_polynomial(s, _b_ideal(ann, inst.f))
+    assert b
+    assert b == _bfunction_by_elimination(ann, inst.f)
+
+
+def test_minimal_polynomial_matches_elimination(inst_cusp, inst_ex5):
+    for inst in (inst_cusp, inst_ex5, _brieskorn_pham(3, 4)):
+        _assert_routes_agree(inst)
+
+
+_MONOS = [(a, b) for a in range(4) for b in range(4) if 1 <= a + b <= 3]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MONOS), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                min_size=1, max_size=3, unique_by=lambda t: t[0]))
+def test_minimal_polynomial_matches_elimination_random(terms):
+    # phi = 1: I = <dx, dy>
+    inst = _instance_d2(lambda x, y: sum(c * x ** a * y ** b for (a, b), c in terms),
+                        "dx", "dy")
+    _assert_routes_agree(inst)
 
 
 def test_bfunction_structure_roundtrip(inst_cusp):

@@ -23,7 +23,6 @@ from holozeta import (
     eliminate,
     normal_form,
     represent,
-    univariate_generator,
 )
 from holozeta.bfunction import BFunction
 
@@ -438,16 +437,14 @@ def test_represent_recovers_membership():
     assert represent(W.one(sig), gens) is None
 
 
-def test_univariate_generator():
-    sig = d_n_s(("x",))
-    s = W.gen(sig, "s")
-    assert univariate_generator([s * s - 1, s - 1]).to_str() == "s - 1"
-    assert not univariate_generator([])
-    b = (s + 1) * (6 * s + 5) * (6 * s + 7)
-    g = univariate_generator([b.scale(QQ(3, 7))])
-    assert g == UPoly.from_roots([QQ(-1), QQ(-5, 6), QQ(-7, 6)]).monic()
-    with pytest.raises(ValueError):
-        univariate_generator([W.gen(sig, "x")])
+def test_power_matches_repeated_product():
+    sig = d_n(("x", "y"))
+    x, dx, dy = (W.gen(sig, n) for n in ("x", "dx", "dy"))
+    p = x * dx + dy
+    rep = W.one(sig)
+    for e in range(10):
+        assert p ** e == rep
+        rep = rep * p
 
 
 # ---------------------------------------------------------------------------
