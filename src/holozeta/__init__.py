@@ -41,7 +41,7 @@ from .annihilator import (
     tau_substitute,
 )
 from .bfunction import BFunction, FunctionalEquation, bfunction, functional_operator, shift_compose
-from .laurent import LaurentRequest, LaurentSystem, ann_laurent, build_Jk, laurent_operators, pole_order
+from .laurent import LaurentRequest, LaurentSystem, ann_laurent, build_Jk, laurent_operators
 from .integration import (
     DifferenceOperator,
     RestrictionData,

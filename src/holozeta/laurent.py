@@ -2,8 +2,9 @@
 
 At a rational expansion point lambda0, the coefficient phi_k is written as
 sum_j Q_kj (f_+^(lambda0+m) (log f)^j phi) with the Q_kj Taylor data of
-c(s)^{-1} P(s); its annihilator is the colon ideal of that vector into the
-substituted log-tower relation module J_{l+k}|_{s = lambda0+m}.
+c(e)^{-1} P(e) in the local variable e = s - lambda0; its annihilator is the
+colon ideal of that vector into the substituted log-tower relation module
+J_{l+k}|_{s = lambda0+m}.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .annihilator import ProblemInstance, ann_fs
-from .bfunction import BFunction, bfunction, functional_operator, shift_compose
+from .bfunction import BFunction, bfunction, functional_operator
 from .upoly import UPoly, inverse_series
 from .weyl_core import (
     QQ,
@@ -40,8 +41,9 @@ class LaurentRequest:
 class LaurentSystem:
     """Everything the Laurent-coefficient computation produced.
 
-    b(s) = c(s) (s - lambda0)^l exactly with c(lambda0) != 0; Qk are the
-    operators of the expansion at level k; ann_w annihilates phi_k.
+    b is b_m(s) = b(s) b(s+1) ... b(s+m-1); with e = s - lambda0,
+    b_m(lambda0 + e) = c(e) e^l exactly with c(0) != 0, so c is given in e.
+    Qk are the operators of the expansion at level k; ann_w annihilates phi_k.
     """
 
     lambda0: object
@@ -55,63 +57,33 @@ class LaurentSystem:
     ann_w: IdealPresentation
 
     def check_factorization(self):
-        lin = UPoly((-self.lambda0, 1))
-        return self.c * lin ** self.l == self.b.poly and self.c.eval(self.lambda0) != 0
+        return self.c * UPoly.x() ** self.l == self.b.poly.shift(self.lambda0) and self.c[0] != 0
 
 
-def pole_order(b, lambda0, m=None):
-    """(l, c) with b(s) = c(s) (s - lambda0)^l and c(lambda0) != 0.
-
-    b is the m-fold shifted product b0(s)...b0(s+m-1); m is only sanity-checked
-    (lambda0 + m must be positive when given).
-    """
-    lambda0 = QQ(lambda0)
-    if m is not None and lambda0 + m <= 0:
-        raise ValueError("m must satisfy lambda0 + m > 0")
-    poly = b.poly if isinstance(b, BFunction) else b.monic()
-    lin = UPoly((-lambda0, 1))
-    l = 0
-    c = poly
-    while not c.eval(lambda0):
-        c = c.exact_div(lin)
-        l += 1
-    return l, c
-
-
-def laurent_operators(P, c, lambda0, l, k):
+def laurent_operators(P, c, l, k):
     """The operators Q_k0, ..., Q_k(l+k) of the Laurent expansion.
 
-    Q_kj = (1/j!) [coefficient of (s-lambda0)^(l+k-j) in c(s)^{-1} P(s)],
-    computed from the Taylor expansion of P at lambda0 and the inverse power
-    series of c.  The result lives in D_n (no s).
+    P and c are given in the local variable e = s - lambda0, which P carries
+    as its extra "s": Q_kj = (1/j!) [e^(l+k-j)] c(e)^{-1} P(e), read from the
+    coefficients of e^0, ..., e^(l+k) of P and the inverse power series of c.
+    The result lives in D_n (no s).
     """
-    lambda0 = QQ(lambda0)
-    if c.eval(lambda0) == 0:
-        raise ValueError("c(lambda0) must be nonzero")
+    if not c[0]:
+        raise ValueError("c(0) must be nonzero")
     if k < -l:
         raise ValueError("k must be at least -l")
-    sig_s = P.sig
-    sig = sig_s.without_extras("s")
     N = l + k
-    # P(s) = sum_d P_d (s - lambda0)^d
-    degs = P.max_extra_degree("s")
-    coeffs = [P.coeff_of_extra_power("s", e) for e in range(degs + 1)]
-    P_parts = []
-    for d in range(N + 1):
-        part = WeylOperator.zero(sig)
-        for e in range(d, degs + 1):
-            part = part + coeffs[e].scale(math.comb(e, d) * lambda0 ** (e - d))
-        P_parts.append(part)
-    gamma = inverse_series(c, lambda0, N + 1)
+    parts = [P.coeff_of_extra_power("s", d) for d in range(N + 1)]
+    gamma = inverse_series(c, N + 1)
     out = []
     fact = 1
     for j in range(N + 1):
         if j:
             fact *= j
         r = N - j
-        T = WeylOperator.zero(sig)
+        T = WeylOperator.zero(parts[0].sig)
         for d in range(r + 1):
-            T = T + P_parts[d].scale(gamma[r - d])
+            T = T + parts[d].scale(gamma[r - d])
         out.append(T.scale(QQ(1, fact)))
     return out
 
@@ -147,23 +119,36 @@ def default_shift(lambda0):
 
 
 def ann_laurent(req, deadline=None):
-    """Holonomic annihilator of the Laurent coefficient phi_k at lambda0."""
+    """Holonomic annihilator of the Laurent coefficient phi_k at lambda0.
+
+    Works in e = s - lambda0 throughout: B(e) = b_m(lambda0 + e) = c(e) e^l,
+    and P(e) = prod_{j<m} P0(lambda0 + j + e) is only needed modulo e^(l+k+1).
+    """
     inst = req.inst
-    lambda0 = QQ(req.lambda0)
+    lambda0 = req.lambda0
     ann = ann_fs(inst, deadline=deadline)
     b0 = bfunction(ann, inst.f, deadline=deadline)
     eqn = functional_operator(ann, inst.f, b0, deadline=deadline)
     m = default_shift(lambda0)
-    eqm = shift_compose(eqn, m)
-    l, c = pole_order(eqm.b, lambda0, m)
+    bm = UPoly.one()
+    for j in range(m):
+        bm = bm * b0.poly.shift(j)
+    B = bm.shift(lambda0)
+    l = next(i for i, v in enumerate(B.c) if v)
+    c = UPoly(B.c[l:])
     if req.k < -l:
         raise LaurentRequestError(f"k = {req.k} below the pole order bound -l = {-l}")
     N = l + req.k
-    Qk = laurent_operators(eqm.P0, c, lambda0, l, req.k)
+    P = WeylOperator.one(eqn.P0.sig)
+    for j in range(m):
+        factor = eqn.P0.shift_extra("s", lambda0 + j).truncate_extra("s", N)
+        P = (P * factor).truncate_extra("s", N)
+    Qk = laurent_operators(P, c, l, req.k)
     Jk = build_Jk(ann, N)
     a = lambda0 + m
     sig = inst.sig
     sub_gens = [tuple(op.subs_extra("s", a, sig) for op in vec) for vec in Jk.generators]
     Jk_sub = SubmodulePresentation.make(N + 1, sig, sub_gens)
     ann_w = colon_kernel(Qk, Jk_sub, deadline=deadline, stage="laurent-colon")
-    return LaurentSystem(lambda0, req.k, l, m, eqm.b, c, tuple(Qk), Jk_sub, ann_w)
+    return LaurentSystem(lambda0, req.k, l, m, BFunction.from_upoly(bm), c, tuple(Qk),
+                         Jk_sub, ann_w)

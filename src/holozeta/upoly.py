@@ -368,15 +368,14 @@ def _next_prime(n):
     return n
 
 
-def inverse_series(p, at, n):
-    """First n Taylor coefficients of 1/p(s) at s = at; p(at) must be nonzero."""
-    loc = p.shift(at)
-    if not loc[0]:
-        raise ValueError("pole of the inverse series at the expansion point")
-    inv = [QQ1 / loc[0]]
+def inverse_series(p, n):
+    """First n power-series coefficients of 1/p at 0; p(0) must be nonzero."""
+    if not p[0]:
+        raise ValueError("pole of the inverse series at 0")
+    inv = [QQ1 / p[0]]
     for r in range(1, n):
         acc = QQ0
         for i in range(1, r + 1):
-            acc += loc[i] * inv[r - i]
-        inv.append(-acc / loc[0])
+            acc += p[i] * inv[r - i]
+        inv.append(-acc / p[0])
     return inv

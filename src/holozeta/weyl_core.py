@@ -549,6 +549,12 @@ class WeylOperator:
                     add_term(res, m - ((e - k) << sh), c2)
         return WeylOperator._of(self.sig, res)
 
+    def truncate_extra(self, name, n):
+        """The terms of degree at most n in a central extra."""
+        sh = self.sig._pk.shifts[self.sig.slot(name)]
+        return WeylOperator._of(self.sig, {m: c for m, c in self.terms.items()
+                                           if (m >> sh) & 0x7FFF <= n})
+
     def _slot_derivative(self, i):
         sh = self.sig._pk.shifts[i]
         res = {}

@@ -1,5 +1,6 @@
-"""Pole orders, Laurent expansion operators, the log-tower module J_k, and
+"""Laurent expansion operators in e = s - lambda0, the log-tower module J_k, and
 the annihilators of Laurent coefficients."""
+import dataclasses
 import math
 import random
 
@@ -17,7 +18,6 @@ from holozeta import (
     build_Jk,
     functional_operator,
     laurent_operators,
-    pole_order,
     shift_compose,
 )
 from holozeta.laurent import default_shift
@@ -37,26 +37,40 @@ class RatFunc:
         self.den = den.monic()
 
 
-def test_pole_order_examples():
-    b = UPoly.from_roots([QQ(-1), QQ(-5, 6), QQ(-7, 6)]).monic()
-    l, c = pole_order(b, QQ(-5, 6), 1)
-    assert l == 1 and c.eval(QQ(-5, 6)) != 0
-    bb = UPoly.from_roots([QQ(-5, 6), QQ(-5, 6), QQ(-1)])
-    l2, _ = pole_order(bb, QQ(-5, 6), 1)
-    assert l2 == 2
-    l0, c0 = pole_order(b, QQ(-1, 2), 1)
-    assert l0 == 0 and c0 == b
+def _reference_operators(inst, lam, l, k, c):
+    """laurent_operators on the global product P0(s)...P0(s+m-1), shifted."""
+    ann = ann_fs(inst)
+    eqn = functional_operator(ann, inst.f, bfunction(ann, inst.f))
+    P = shift_compose(eqn, default_shift(lam)).P0
+    return laurent_operators(P.shift_extra("s", lam), c, l, k)
 
 
-def test_pole_order_exact_factorization(inst_cusp):
-    ann = ann_fs(inst_cusp)
-    eqn = functional_operator(ann, inst_cusp.f, bfunction(ann, inst_cusp.f))
-    for lam in (QQ(-1), QQ(-5, 6), QQ(-7, 6)):
-        m = default_shift(lam)
-        comp = shift_compose(eqn, m)
-        l, c = pole_order(comp.b, lam, m)
-        assert c * UPoly((-lam, 1)) ** l == comp.b.poly
-        assert c.eval(lam) != 0
+def test_ann_laurent_matches_global_product(inst_cusp, inst_ex5):
+    # the product built factor by factor modulo e^(l+k+1) gives the same
+    # Q_kj as the full shifted product of shift_compose
+    cases = [(inst_cusp, lam, k) for lam in (QQ(-1), QQ(-5, 6), QQ(-7, 6))
+             for k in (-1, 0)] + [(inst_ex5, QQ(-4, 3), -1)]
+    for inst, lam, k in cases:
+        system = ann_laurent(LaurentRequest(inst, lam, k))
+        assert system.l == 1
+        ref = _reference_operators(inst, lam, system.l, k, system.c)
+        assert list(system.Qk) == ref, (lam, k)
+
+
+def test_check_factorization(inst_cusp, inst_ex5):
+    # b_m(lambda0 + e) = c(e) e^l with c(0) != 0, at simple roots, a double
+    # root (ex5 at -5/6, l = 2) and a point that is not a root (l = 0)
+    cases = [(inst_cusp, QQ(-1), 1), (inst_cusp, QQ(-5, 6), 1), (inst_cusp, QQ(-7, 6), 1),
+             (inst_ex5, QQ(-5, 6), 2), (inst_cusp, QQ(-1, 2), 0)]
+    for inst, lam, l in cases:
+        system = ann_laurent(LaurentRequest(inst, lam, -l))
+        assert system.l == l
+        assert system.check_factorization()
+        assert not dataclasses.replace(system, l=l + 1).check_factorization()
+        if l:
+            # the same product with one factor e left inside c: c(0) = 0
+            short = dataclasses.replace(system, l=l - 1, c=system.c * UPoly.x())
+            assert not short.check_factorization()
 
 
 def test_default_shift():
@@ -72,13 +86,13 @@ def test_laurent_operators_trivial_cases(inst_x):
     dx = W.gen(sig_s, "dx")
     c = UPoly((2, 1))           # s + 2
     # l = 0, k = 0: single operator c(lam)^-1 P(lam)
-    ops = laurent_operators(dx, c, QQ(-1), 0, 0)
+    ops = laurent_operators(dx, c.shift(-1), 0, 0)
     assert len(ops) == 1
     assert ops[0] == W.gen(sig, "dx").scale(QQ(1, 1))
     # P = (s - lam) R: forced vanishing of Q_{-1,0}
     s = W.gen(sig_s, "s")
     P = (s + 1) * dx
-    ops = laurent_operators(P, c, QQ(-1), 1, -1)
+    ops = laurent_operators(P.shift_extra("s", -1), c.shift(-1), 1, -1)
     assert len(ops) == 1 and ops[0].is_zero()
 
 
@@ -124,7 +138,7 @@ def test_laurent_operators_against_derivative_oracle():
     lam = QQ(-2)
     l, k = 1, 1
     N = l + k
-    ops = laurent_operators(P, c, lam, l, k)
+    ops = laurent_operators(P.shift_extra("s", lam), c.shift(lam), l, k)
     taylor = _taylor_by_quotient_rule(P, c, lam, N, sig)
     # Q_kj = (1/j!) T_{N-j} where T_r is the r-th Taylor coefficient
     for j in range(N + 1):
@@ -143,7 +157,7 @@ def test_laurent_operators_series_consistency():
     lam = QQ(-3)
     l, k = 2, 0
     N = l + k
-    ops = laurent_operators(P, c, lam, l, k)
+    ops = laurent_operators(P.shift_extra("s", lam), c.shift(lam), l, k)
     # reconstruct Taylor coefficients T_r = j! Q_{k, N-r}... T_r = ops[N-r]*(N-r)!
     taylor = [ops[N - r].scale(math.factorial(N - r)) for r in range(N + 1)]
     # multiply by c's expansion at lam and compare with P's expansion

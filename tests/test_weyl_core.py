@@ -447,6 +447,24 @@ def test_power_matches_repeated_product():
         rep = rep * p
 
 
+def test_truncate_extra_is_a_ring_map_modulo_s_power():
+    # s is central: truncating the factors before the product loses nothing
+    # below the cut, and the cut keeps exactly the terms of s-degree <= n
+    rng = random.Random(7)
+    sig = d_n_s(("x", "y"))
+    s = W.gen(sig, "s")
+    for _ in range(30):
+        p = rand_op(sig, rng, max_terms=4, max_deg=4) * (s + rng.randint(-3, 3))
+        q = rand_op(sig, rng, max_terms=4, max_deg=4) * (s * s + rng.randint(-3, 3))
+        for n in range(4):
+            cut = p.truncate_extra("s", n)
+            assert cut.max_extra_degree("s") <= n
+            for e in range(n + 1):
+                assert cut.coeff_of_extra_power("s", e) == p.coeff_of_extra_power("s", e)
+            prod = (p.truncate_extra("s", n) * q.truncate_extra("s", n)).truncate_extra("s", n)
+            assert prod == (p * q).truncate_extra("s", n)
+
+
 # ---------------------------------------------------------------------------
 # upoly support layer
 # ---------------------------------------------------------------------------
