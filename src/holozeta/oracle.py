@@ -138,8 +138,16 @@ class LogSection:
         else:
             self.entries[j] = (op, fpow)
 
+    def _empty(self):
+        """An empty section over the same tower, sharing the basis of I."""
+        out = object.__new__(LogSection)
+        out.inst, out.symbolic, out.a, out.sig, out._gb = (
+            self.inst, self.symbolic, self.a, self.sig, self._gb)
+        out.entries = {}
+        return out
+
     def copy(self):
-        out = LogSection(self.inst, symbolic=self.symbolic, a=self.a)
+        out = self._empty()
         out.entries = dict(self.entries)
         return out
 
@@ -208,7 +216,7 @@ def _apply_dx(sec, i):
     fi = inst.f.x_derivative(i).embed(sig)
     di = WeylOperator.gen(sig, "d" + inst.x_names[i])
     efac = _exponent_factor(sec, sig)
-    out = LogSection(inst, symbolic=sec.symbolic, a=sec.a)
+    out = sec._empty()
     for j, (op, k) in sec.entries.items():
         # d_i (f^{-k} f^e log^j (x) op u) =
         #   f^{-(k+1)} f^e log^j (x) (f d_i + (e-k) f_i) op u
@@ -221,7 +229,7 @@ def _apply_dx(sec, i):
 
 
 def _apply_x(sec, i):
-    out = LogSection(sec.inst, symbolic=sec.symbolic, a=sec.a)
+    out = sec._empty()
     xi = WeylOperator.gen(sec.sig, sec.inst.x_names[i])
     for j, (op, k) in sec.entries.items():
         out._put(j, xi * op, k)
@@ -231,7 +239,7 @@ def _apply_x(sec, i):
 def _apply_s(sec):
     if not sec.symbolic:
         raise OracleError("s acts on symbolic sections only")
-    out = LogSection(sec.inst, symbolic=True)
+    out = sec._empty()
     s = WeylOperator.gen(sec.sig, "s")
     for j, (op, k) in sec.entries.items():
         out._put(j, s * op, k)
@@ -242,9 +250,8 @@ def _apply_t(sec):
     """t acts through the Mellin identification as E_s: shift s, multiply by f."""
     if not sec.symbolic:
         raise OracleError("t/dt act on symbolic sections only")
-    inst = sec.inst
-    f = inst.f.embed(sec.sig)
-    out = LogSection(inst, symbolic=True)
+    f = sec.inst.f.embed(sec.sig)
+    out = sec._empty()
     for j, (op, k) in sec.entries.items():
         out._put(j, f * op.shift_extra("s", 1), k)
     return out
@@ -254,8 +261,7 @@ def _apply_dt(sec):
     """dt = -s E_s^{-1}: shift s by -1, divide by f, multiply by -s."""
     if not sec.symbolic:
         raise OracleError("t/dt act on symbolic sections only")
-    inst = sec.inst
-    out = LogSection(inst, symbolic=True)
+    out = sec._empty()
     s = WeylOperator.gen(sec.sig, "s")
     for j, (op, k) in sec.entries.items():
         out._put(j, (-s) * op.shift_extra("s", -1), k + 1)
@@ -295,7 +301,7 @@ def apply_log_section(P, v):
                     cur = _apply_x(cur, inst.x_names.index(name))
         out = cur if out is None else out + cur
     if out is None:
-        out = LogSection(inst, symbolic=v.symbolic, a=v.a)
+        out = v._empty()
     return out
 
 
