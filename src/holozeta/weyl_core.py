@@ -5,8 +5,10 @@ The rings handled here are generated by commuting-pair blocks
 commutative generators.  The only nontrivial relations are dx_i x_i = x_i dx_i + 1
 and dt t = t dt + 1; in the homogenized variant the 1 on the right becomes h^2
 for a central generator h.  Elements are kept normally ordered (all x-type
-exponents recorded before d-type ones in a single exponent vector), with
-arbitrary-precision rational coefficients.
+exponents recorded before d-type ones in a single exponent vector).  Operators
+and every function taking or returning them use arbitrary-precision rational
+coefficients (QQ); the Groebner engine and its normal form work fraction-free
+on Python integers and meet QQ only at that boundary.
 
 There is one monomial format: an exponent vector packed into a single
 integer, 16 bits per slot (see _Pack), so at most MAX_EXPONENT per generator;
@@ -20,6 +22,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import struct
 import time
 from dataclasses import dataclass
 
@@ -52,17 +56,13 @@ class GBTimeout(RuntimeError):
         self.pairs_left = pairs_left
 
 
-def _gcd_int(a, b):
-    return math.gcd(int(a), int(b))
-
-
 def rational_content(coeffs):
     """gcd of a nonempty collection of rationals, as a positive rational."""
     num = 0
     den = 1
     for c in coeffs:
-        num = _gcd_int(num, c.numerator)
-        den = den * int(c.denominator) // _gcd_int(den, c.denominator)
+        num = math.gcd(num, int(c.numerator))
+        den = math.lcm(den, int(c.denominator))
     return QQ(num, den)
 
 
@@ -705,9 +705,10 @@ class TermOrder:
 class ModuleOrder:
     """Extension of a TermOrder to labelled monomials (component, mono).
 
-    position "tp" = term over position, "pt" = position over term.  top_comps,
-    when given with "pt", lists components that dominate all others (used for
-    component elimination).
+    position "tp" = term over position, "pt" = position over term; between
+    components the lower index is the larger.  top_comps, when given with "pt",
+    lists components that dominate all others (used for component
+    elimination).  The engine compares by the integer key of _make_keyf.
     """
 
     def __init__(self, term_order, position="tp", top_comps=None):
@@ -721,15 +722,6 @@ class ModuleOrder:
 
     def __hash__(self):
         return hash((self.term_order, self.position, self.top_comps))
-
-    def key(self, comp, mono):
-        tkey = self.term_order.key(mono)
-        if self.position == "tp":
-            return tkey + (-comp,)
-        if self.top_comps is not None:
-            lead = 1 if comp in self.top_comps else 0
-            return (lead, -comp) + tkey
-        return (-comp,) + tkey
 
     @property
     def has_negative_row(self):
@@ -752,37 +744,49 @@ class _Red:
         self.sugar = max(_pdeg(pk, lab) for lab in terms)
 
 
-def _neg_key(key):
-    return tuple(-v for v in key)
+def _integral(terms):
+    """(q, ints): the coprime integer coefficients ints = q * terms, q > 0."""
+    if not terms:
+        return QQ1, {}
+    q = 1 / rational_content(terms.values())
+    return q, {m: int(c * q) for m, c in terms.items()}
+
+
+def _rational(terms, q):
+    """The term dict with every integer coefficient divided by q."""
+    return {m: c / q for m, c in terms.items()}
 
 
 def _nf(p, reds, pk, keyf, track=False, sparsest=False):
-    """Left normal form of a labelled term dict against reducers.
+    """Fraction-free left normal form of an integer labelled term dict.
 
-    Returns (remainder dict, cofactors), cofactors[i] a packed-mono -> coeff
-    dict with p = sum_i cofactor_i * reds_i + remainder.  The reducer is the
-    first match in listing order, or the one with fewest terms when sparsest
-    is set (less fill-in during basis completion; both are deterministic).
-    Only reducers of the term's component are scanned.
+    Returns (mult, remainder dict, cofactors) with integer coefficients,
+    mult > 0 and mult * p = sum_i cofactor_i * reds_i + remainder, where
+    cofactors[i] is a packed-mono -> coeff dict (None unless track).  A step
+    reducing the term c x^l by r (lc r = u, d = gcd(c, u)) is
+    p <- (|u|/d) p - sign(u) (c/d) x^(l - lm r) r, so the remainder is mult
+    times the rational one, term for term.  A step's multiplier (mostly 1) is
+    applied at once to the unreduced terms, but to the remainder only at the
+    end, since no later step touches its terms.  The reducer is the first
+    match in listing order, or the one with fewest terms when sparsest is set
+    (less fill-in during basis completion; both are deterministic).  Only
+    reducers of the term's component are scanned.
     """
     work = dict(p)
-    rem = {}
+    mult = 1                   # product of the step multipliers so far
+    rem = []                   # (lab, coeff, mult when it was moved)
     cof = [dict() for _ in reds] if track else None
     guard = pk.guard
     cs = pk.cshift
     by_comp = {}
-    for i, r in enumerate(reds):
+    listing = enumerate(reds)
+    if sparsest:               # stable: the first of the sparsest reducers
+        listing = sorted(listing, key=lambda ir: len(ir[1].terms))
+    for i, r in listing:
         by_comp.setdefault(r.comp, []).append((i, r))
-    ncache = {}
-
-    def nkey(lab):
-        k = ncache.get(lab)
-        if k is None:
-            k = ncache[lab] = _neg_key(keyf(lab))
-        return k
-
-    heap = [(nkey(lab), lab) for lab in work]
+    heap = [(-keyf(lab), lab) for lab in work]
     heapq.heapify(heap)
+    push = heapq.heappush
     touched = []
     while heap:
         _, lab = heapq.heappop(heap)
@@ -790,52 +794,37 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
         if not c:
             continue
         red = None
-        quot = 0
-        idx = -1
-        best = None
         for i, r in by_comp.get(lab >> cs, ()):
-            d = lab - r.lm
-            if d >= 0 and not (d & guard):
-                if not sparsest:
-                    red, quot, idx = r, d, i
-                    break
-                size = len(r.terms)
-                if best is None or size < best:
-                    red, quot, idx, best = r, d, i, size
+            quot = lab - r.lm
+            if quot >= 0 and not (quot & guard):
+                red, idx = r, i
+                break
         if red is None:
-            rem[lab] = c
+            rem.append((lab, c, mult))
             del work[lab]
             continue
-        coef = c / red.lc
+        u = red.lc
+        g = math.gcd(c, u)
+        a = abs(u) // g
+        b = c // g if u > 0 else -c // g
+        if a != 1:
+            mult *= a
+            for m in work:
+                work[m] *= a
+            if track:
+                for t in cof:
+                    for m in t:
+                        t[m] *= a
         touched.clear()
-        _term_mul_into(pk, work, -coef, quot, red.terms, touched)
-        push = heapq.heappush
+        _term_mul_into(pk, work, -b, quot, red.terms, touched)
         for lab2 in touched:
             if lab2 != lab:
-                push(heap, (nkey(lab2), lab2))
+                push(heap, (-keyf(lab2), lab2))
         if lab in work:  # cancellation is exact; the leading term must go
             raise AssertionError("leading term failed to cancel")
         if track:
-            add_term(cof[idx], quot, coef)
-    return rem, cof
-
-
-def _primitive(terms, keyf):
-    """Scale so coefficients are coprime integers, leading one positive."""
-    if not terms:
-        return terms
-    cont = rational_content(terms.values())
-    lead = max(terms, key=keyf)
-    if terms[lead] < 0:
-        cont = -cont
-    return {m: c / cont for m, c in terms.items()}
-
-
-def _monic(terms, keyf):
-    if not terms:
-        return terms
-    lc = terms[max(terms, key=keyf)]
-    return {m: c / lc for m, c in terms.items()}
+            add_term(cof[idx], quot, b)
+    return mult, {lab: c * (mult // then) for lab, c, then in rem}, cof
 
 
 @dataclass
@@ -877,15 +866,45 @@ def _check_weight_admissibility(gens, order, pk):
                     f"offending weights {sorted(ws)}")
 
 
+_COMP_BITS = 32
+
+
 def _make_keyf(order, pk):
-    """ModuleOrder key on labelled packed monomials (decode, then the tuple key)."""
-    okey = order.key
-    shifts = pk.shifts
+    """Integer key of labelled packed monomials under a ModuleOrder.
+
+    Each entry of the TermOrder key (a weight, a block degree or a negated
+    exponent) is a linear form in the exponents, bounded by
+    MAX_EXPONENT * (its absolute row sum).  Read as the digits of an integer
+    in a radix above twice that bound, the tuple compares like the integer,
+    which is therefore sum_i e_i * w_i for one weight w_i per slot.  The
+    component takes one more digit of _COMP_BITS bits, last ("tp") or first
+    ("pt"); integer keys compare exactly as the ModuleOrder does.
+    """
+    term_order = order.term_order
+    n = len(pk.shifts)
+    rows = [tuple(r) for r in term_order.weight_rows]
+    for blk in term_order.blocks:
+        rows.append(tuple(int(i in blk) for i in range(n)))
+        rows.extend(tuple(-int(i == k) for i in range(n)) for k in reversed(blk))
+    bits = (2 * MAX_EXPONENT * max((sum(map(abs, r)) for r in rows), default=0)
+            + 1).bit_length()
+    weights = [0] * n
+    for row in rows:
+        weights = [(w << bits) + e for w, e in zip(weights, row)]
+    if order.position == "tp":             # the component is the last digit
+        weights = [w << _COMP_BITS for w in weights]
+        comp_at, top = 0, ()
+    else:                                  # the component is the first digit
+        comp_at, top = bits * len(rows), order.top_comps or ()
     cs = pk.cshift
+    smask = pk.smask
+    nbytes = n * _PACK_BITS // 8
+    exponents = struct.Struct(f"<{n}H").unpack     # one 16-bit field per slot
 
     def keyf(lab):
-        return okey(lab >> cs, tuple((lab >> sh) & 0x7FFF for sh in shifts))
-
+        comp = lab >> cs
+        return (sum(map(operator.mul, exponents((lab & smask).to_bytes(nbytes, "little")),
+                        weights)) + ((((comp in top) << _COMP_BITS) - comp) << comp_at))
     return keyf
 
 
@@ -894,8 +913,11 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     """Reduced monic left Groebner basis of labelled term dicts.
 
     Input and output dicts map labelled packed monomials (the component in
-    the bits above the slots) to coefficients, under a ModuleOrder; an
-    operator's term dict is a rank-1 input.  Deterministic: sugar-then-lcm
+    the bits above the slots) to rational coefficients, under a ModuleOrder;
+    an operator's term dict is a rank-1 input.  Inside, basis elements are
+    primitive integer dicts: the S-polynomial of f and g is
+    (lc g/d) x^a f - (lc f/d) x^b g with d = gcd(lc f, lc g), and each new
+    remainder is divided by its content.  Deterministic: sugar-then-lcm
     pair selection, first-match reduction, final basis sorted by leading
     monomial.  When pair_components is given, S-pairs are only formed between
     elements whose leading components lie in that set; the other components
@@ -911,7 +933,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     guard = pk.guard
     cs = pk.cshift
 
-    basis = [_Red(_primitive(g, keyf), keyf, pk) for g in gens if g]
+    basis = [_Red(_integral(g)[1], keyf, pk) for g in gens if g]
     basis.sort(key=lambda r: r.key)
 
     def lcm_of(a, b):
@@ -958,12 +980,14 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         if skip:
             stats.pairs_skipped += 1
             continue
+        d = math.gcd(fi.lc, fj.lc)
         s = {}
-        _term_mul_into(pk, s, QQ1 / fi.lc, l - fi.lm, fi.terms)
-        _term_mul_into(pk, s, -(QQ1 / fj.lc), l - fj.lm, fj.terms)
-        rem, _ = _nf(s, basis, pk, keyf, sparsest=True)
+        _term_mul_into(pk, s, fj.lc // d, l - fi.lm, fi.terms)
+        _term_mul_into(pk, s, -(fi.lc // d), l - fj.lm, fj.terms)
+        rem = _nf(s, basis, pk, keyf, sparsest=True)[1]
         if rem:
-            basis.append(_Red(_primitive(rem, keyf), keyf, pk))
+            g = math.gcd(*rem.values())
+            basis.append(_Red({m: c // g for m, c in rem.items()}, keyf, pk))
             push_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
@@ -984,8 +1008,8 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     reduced = []
     for idx, r in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        rem, _ = _nf(dict(r.terms), others, pk, keyf) if others else (dict(r.terms), None)
-        reduced.append(_monic(rem, keyf))
+        rem = _nf(dict(r.terms), others, pk, keyf)[1] if others else dict(r.terms)
+        reduced.append(_rational(rem, QQ(rem[max(rem, key=keyf)])))
     reduced.sort(key=lambda t: keyf(max(t, key=keyf)))
     stats.basis_size = len(reduced)
     return reduced
@@ -1023,14 +1047,17 @@ def normal_form(p, gens, order=None, track_cofactors=False):
             raise SignatureMismatch("normal_form operands differ in signature")
     pk = sig._pk
     keyf = _make_keyf(ModuleOrder(order or TermOrder.grevlex(sig)), pk)
-    rem, cof = _nf(p.terms, [_Red(g.terms, keyf, pk) for g in gens if g], pk, keyf,
-                   track=track_cofactors)
-    r = WeylOperator._of(sig, rem)
+    ints = [_integral(g.terms) for g in gens]        # (q_i, q_i * g_i)
+    reds = [_Red(t, keyf, pk) for _q, t in ints if t]
+    q, terms = _integral(p.terms)
+    mult, rem, cof = _nf(terms, reds, pk, keyf, track=track_cofactors)
+    q *= mult                  # q * p = sum_i cof_i * reds_i + rem
+    r = WeylOperator._of(sig, _rational(rem, q))
     if not track_cofactors:
         return r, None
     cof = iter(cof)
-    return r, [WeylOperator._of(sig, next(cof)) if g else WeylOperator.zero(sig)
-               for g in gens]
+    return r, [WeylOperator._of(sig, _rational(next(cof), q / qg) if t else {})
+               for qg, t in ints]
 
 
 @dataclass(frozen=True)
@@ -1110,9 +1137,8 @@ class SubmodulePresentation:
             return all(op.is_zero() for op in vec)
         pk = self.sig._pk
         keyf = _make_keyf(gb.cached_order, pk)
-        reds = [_Red(_join(pk, v), keyf, pk) for v in gb.cached_gb]
-        rem, _ = _nf(_join(pk, vec), reds, pk, keyf)
-        return not rem
+        reds = [_Red(_integral(_join(pk, v))[1], keyf, pk) for v in gb.cached_gb]
+        return not _nf(_integral(_join(pk, vec))[1], reds, pk, keyf)[1]
 
 
 def eliminate(ideal, kill, deadline=None, stage="elimination"):
@@ -1172,12 +1198,14 @@ def represent(p, gens, deadline=None, stage="represent"):
     order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[0])
     keyf = _make_keyf(order, pk)
     basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
-    front = [_Red(b, keyf, pk) for b in basis if max(b, key=keyf) >> pk.cshift == 0]
-    rem, _ = _nf(p.terms, front, pk, keyf)
-    vec = _split(pk, rem, sig, k + 1)
+    front = [_Red(_integral(b)[1], keyf, pk) for b in basis
+             if max(b, key=keyf) >> pk.cshift == 0]
+    q, terms = _integral(p.terms)
+    mult, rem, _ = _nf(terms, front, pk, keyf)
+    vec = _split(pk, _rational(rem, -q * mult), sig, k + 1)
     if not vec[0].is_zero():
         return None
-    return [-op for op in vec[1:]]
+    return list(vec[1:])
 
 
 def _krull_dim(pk, monos):
@@ -1204,7 +1232,8 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
     pk = sig._pk
     order = TermOrder.grevlex(sig)
     keyf = _make_keyf(ModuleOrder(order), pk)
-    reds = [_Red(g.terms, keyf, pk) for g in ideal.basis(order, deadline, stage)]
+    reds = [_Red(_integral(g.terms)[1], keyf, pk)
+            for g in ideal.basis(order, deadline, stage)]
     if any(r.lm == 0 for r in reds):
         return UPoly.one()
     if _krull_dim(pk, [r.lm for r in reds]) > len(sig.pairs):
@@ -1230,4 +1259,6 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
         prod = {}
         for m, c in op.terms.items():
             _term_mul_into(pk, prod, c, m, r.items())
-        r = _nf(prod, reds, pk, keyf)[0]
+        q, terms = _integral(prod)
+        mult, rem, _ = _nf(terms, reds, pk, keyf)
+        r = _rational(rem, q * mult)

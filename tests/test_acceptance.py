@@ -268,8 +268,9 @@ def _ex4_reference_operator():
 
 @pytest.mark.slow
 @pytest.mark.skipif(not run_slow(), reason="expected-slow, gated to keep the default "
-                    "suite fast (HOLOZETA_SLOW=1 to run); the full pipeline takes about "
-                    "20 minutes in this engine, inside the criterion's 30-minute budget")
+                    "suite fast (HOLOZETA_SLOW=1 to run); the full pipeline took 187 s "
+                    "on a 2-core VM with Python 3.11 and no gmpy2, inside the "
+                    "criterion's 30-minute budget")
 def test_criterion_09_ex4_difference(inst_ex4):
     with criterion(9, "Ex4: order <= 11, trailing (s+1)...(s+9)", 1800):
         ops = zeta_difference(inst_ex4)

@@ -126,6 +126,15 @@ def _assert_routes_agree(inst):
     assert b == _bfunction_by_elimination(ann, inst.f)
 
 
+def test_minimal_polynomial_cusp_is_exact(inst_cusp):
+    # the engine divides by integer multipliers inside; b must come out monic
+    # and exactly the rational one
+    ann = ann_fs(inst_cusp)
+    b = minimal_polynomial(W.gen(ann.sig, "s"), _b_ideal(ann, inst_cusp.f))
+    # (s+1)(s+5/6)(s+7/6)
+    assert b.c == (QQ(35, 36), QQ(107, 36), QQ(3), QQ(1))
+
+
 def test_minimal_polynomial_matches_elimination(inst_cusp, inst_ex5):
     for inst in (inst_cusp, inst_ex5, _brieskorn_pham(3, 4)):
         _assert_routes_agree(inst)
@@ -248,9 +257,9 @@ def _brieskorn_pham_b(a, b):
     return UPoly.from_roots([QQ(-1)] + sorted(-r for r in roots))
 
 
-@pytest.mark.parametrize("a,b", [(3, 5), (4, 5)])
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 4), (2, 5), (3, 5), (4, 5)])
 def test_bfunction_brieskorn_pham_closed_form(a, b):
-    # degree-8 and degree-13 b-functions with distinct denominators: their
+    # up to the degree-13 b of x^4 + y^5, with distinct denominators: their
     # rational roots drive the Laurent analysis
     inst = _brieskorn_pham(a, b)
     bf = bfunction(ann_fs(inst), inst.f)

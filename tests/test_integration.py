@@ -8,6 +8,7 @@ from holozeta import (
     QQ,
     DifferenceOperator,
     IdealPresentation,
+    ProblemInstance,
     UPoly,
     WeylOperator,
     build_malgrange,
@@ -165,6 +166,16 @@ def test_zeta_difference_gamma(inst_gamma):
     ops = zeta_difference(inst_gamma)
     assert [op.to_str() for op in ops] == ["E - (s+1)"]
     target = DifferenceOperator({1: UPoly.one(), 0: UPoly((-1, -1))})
+    assert difference_member(target, ops)
+
+
+def test_zeta_difference_half_line_gaussian():
+    # int_0^oo x^s exp(-x^2) dx = Gamma((s+1)/2) / 2, so 2 Z(s+2) = (s+1) Z(s)
+    sig = d_n(("x",))
+    x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
+    ops = zeta_difference(ProblemInstance.make(("x",), x, [dx + 2 * x]))
+    assert [op.to_str() for op in ops] == ["2*E^2 - (s+1)"]
+    target = DifferenceOperator({2: UPoly((2,)), 0: UPoly((-1, -1))})
     assert difference_member(target, ops)
 
 

@@ -1,5 +1,6 @@
 """Ring axioms, normal forms and Groebner bases, checked against a
 brute-force single-step rewriter where a second opinion is available."""
+import heapq
 import math
 import random
 
@@ -25,6 +26,19 @@ from holozeta import (
     represent,
 )
 from holozeta.bfunction import BFunction
+from holozeta.weyl_core import (
+    MAX_EXPONENT,
+    GBStats,
+    ModuleOrder,
+    _make_keyf,
+    _pack,
+    _pdeg,
+    _term_mul_into,
+    _unpack,
+    groebner_engine,
+    last_gb_stats,
+    rational_content,
+)
 
 W = WeylOperator
 
@@ -617,3 +631,228 @@ def test_cached_basis_is_reduced_and_monic():
             lm = other.lm(order)
             for m in g.exponent_terms():
                 assert not all(a >= b for a, b in zip(m, lm)), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Buchberger over Q that the fraction-free engine replaced,
+# with the same pair selection, reducer choice, chain criterion and order
+# (as a tuple key).  Reduced bases are unique and the engine's decisions
+# depend only on monomials, so bases and GBStats counters must agree.
+# ---------------------------------------------------------------------------
+
+def _ref_key(order, pk):
+    """The ModuleOrder as a tuple key on labelled packed monomials."""
+    term_order = order.term_order
+
+    def key(lab):
+        comp = lab >> pk.cshift
+        tkey = term_order.key(_unpack(pk, lab & pk.smask))
+        if order.position == "tp":
+            return tkey + (-comp,)
+        lead = (int(comp in order.top_comps),) if order.top_comps is not None else ()
+        return lead + (-comp,) + tkey
+    return key
+
+
+class _RefRed:
+    def __init__(self, terms, key, pk):
+        self.terms = tuple(terms.items())
+        self.lm = max(terms, key=key)
+        self.comp = self.lm >> pk.cshift
+        self.lc = terms[self.lm]
+        self.key = key(self.lm)
+        self.sugar = max(_pdeg(pk, m) for m in terms)
+
+
+def _ref_divides(pk, a, b):
+    d = b - a
+    return d >= 0 and not d & pk.guard
+
+
+def _ref_nf(p, reds, pk, key, sparsest=False):
+    """Rational left remainder: the first divisor in listing order, or the
+    first of the sparsest ones."""
+    work, rem = dict(p), {}
+    while work:
+        lab = max(work, key=key)
+        divisors = [r for r in reds if r.comp == lab >> pk.cshift
+                    and _ref_divides(pk, r.lm, lab)]
+        if not divisors:
+            rem[lab] = work.pop(lab)
+            continue
+        r = min(divisors, key=lambda r: len(r.terms)) if sparsest else divisors[0]
+        _term_mul_into(pk, work, -work[lab] / r.lc, lab - r.lm, r.terms)
+    return rem
+
+
+def _ref_groebner(gens, sig, order, pair_components=None):
+    """(reduced monic basis, GBStats) by Buchberger over Q."""
+    pk = sig._pk
+    key = _ref_key(order, pk)
+    stats = GBStats()
+
+    def primitive(terms):
+        cont = rational_content(terms.values())
+        return {m: c / cont for m, c in terms.items()}
+
+    basis = sorted((_RefRed(primitive(g), key, pk) for g in gens if g), key=lambda r: r.key)
+
+    def lcm_of(a, b):
+        return (a.comp << pk.cshift) + sum(
+            max((a.lm >> sh) & 0x7FFF, (b.lm >> sh) & 0x7FFF) << sh for sh in pk.shifts)
+
+    pairs = []
+
+    def push_pairs(j):
+        rj = basis[j]
+        if pair_components is not None and rj.comp not in pair_components:
+            return
+        for i, ri in enumerate(basis[:j]):
+            if ri.comp == rj.comp:
+                lcm = lcm_of(ri, rj)
+                dl = _pdeg(pk, lcm)
+                sugar = max(r.sugar + dl - _pdeg(pk, r.lm) for r in (ri, rj))
+                heapq.heappush(pairs, (sugar, key(lcm), i, j, lcm))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while pairs:
+        *_, i, j, lcm = heapq.heappop(pairs)
+        stats.pairs_considered += 1
+        fi, fj = basis[i], basis[j]
+        if any(k not in (i, j) and fk.comp == fi.comp and _ref_divides(pk, fk.lm, lcm)
+               and lcm_of(fi, fk) != lcm and lcm_of(fj, fk) != lcm
+               for k, fk in enumerate(basis)):
+            stats.pairs_skipped += 1
+            continue
+        s = {}
+        _term_mul_into(pk, s, 1 / fi.lc, lcm - fi.lm, fi.terms)
+        _term_mul_into(pk, s, -1 / fj.lc, lcm - fj.lm, fj.terms)
+        rem = _ref_nf(s, basis, pk, key, sparsest=True)
+        if rem:
+            basis.append(_RefRed(primitive(rem), key, pk))
+            push_pairs(len(basis) - 1)
+        else:
+            stats.zero_reductions += 1
+    kept = []
+    for r in sorted(basis, key=lambda r: r.key):
+        if not any(k.comp == r.comp and _ref_divides(pk, k.lm, r.lm) for k in kept):
+            kept.append(r)
+    reduced = []
+    for r in kept:
+        rem = _ref_nf(dict(r.terms), [k for k in kept if k is not r], pk, key)
+        lc = rem[max(rem, key=key)]
+        reduced.append({m: c / lc for m, c in rem.items()})
+    reduced.sort(key=lambda t: key(max(t, key=key)))
+    stats.basis_size = len(reduced)
+    return reduced, stats
+
+
+def _engine_and_reference(gens, sig, order, pair_components=None):
+    basis = groebner_engine(gens, sig, order, pair_components=pair_components)
+    return (basis, last_gb_stats()), _ref_groebner(gens, sig, order, pair_components)
+
+
+_COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(-3), QQ(1, 3), QQ(-5, 2), QQ(7, 4)]
+
+
+def _generators(sig):
+    """2-3 operators of degree at most 2 with rational coefficients of either
+    sign."""
+    term = st.tuples(st.sampled_from([(0,) * sig.nslots] + list(_monomials(sig, 2))),
+                     st.sampled_from(_COEFFS))
+    op = st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[0])
+    return st.lists(op.map(lambda terms: W(sig, dict(terms))), min_size=2, max_size=3)
+
+
+@pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y")), d_n_s(("x", "y"))],
+                         ids=["D1", "D2", "D2[s]"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_engine_matches_rational_buchberger(sig, data):
+    gens = data.draw(_generators(sig))
+    order = ModuleOrder(TermOrder.grevlex(sig))
+    (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(
+        [g.terms for g in gens], sig, order)
+    assert basis == ref_basis
+    assert stats == ref_stats
+
+
+def test_engine_matches_rational_buchberger_rank_two_pt():
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    zero = W.zero(sig)
+    vecs = [(dx * QQ(1, 3) + y, x * QQ(-5, 2)), (x * y, dy - 2), (zero, x * dx + QQ(7, 4))]
+    order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[1])
+    pk = sig._pk
+    gens = [{m + (i << pk.cshift): c for i, op in enumerate(v) for m, c in op.terms.items()}
+            for v in vecs]
+    (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(gens, sig, order)
+    assert basis == ref_basis and stats == ref_stats
+    assert stats.pairs_considered > 0
+
+
+def test_engine_matches_rational_buchberger_represent_payload():
+    # the augmented input of represent: S-pairs only in component 0, the
+    # unit-vector payload riding along
+    sig = d_n_s(("x",))
+    x, dx, s = (W.gen(sig, n) for n in ("x", "dx", "s"))
+    gens = [x * dx * QQ(2, 3) - s, x * x * QQ(-5, 2) + 1, dx * dx - x]
+    pk = sig._pk
+    aug = [{**g.terms, (1 + i) << pk.cshift: QQ(1)} for i, g in enumerate(gens)]
+    order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[0])
+    (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(aug, sig, order, {0})
+    assert basis == ref_basis and stats == ref_stats
+    assert stats.pairs_considered > 0
+
+
+def test_integer_key_orders_like_tuple_key():
+    sig = RingSignature(("x", "y"), extras=("s",), homogenized=True)
+    pk = sig._pk
+    row = [1, -2, 0, 3, 0, 0]
+    rng = random.Random(5)
+    labs = [_pack(pk, [rng.choice([0, 1, 2, MAX_EXPONENT]) for _ in range(sig.nslots)])
+            + (rng.randrange(3) << pk.cshift) for _ in range(300)]
+    for order in (ModuleOrder(TermOrder(sig, blocks=[(1, 0), (2,)], weight_rows=[row])),
+                  ModuleOrder(TermOrder.grevlex(sig), position="pt"),
+                  ModuleOrder(TermOrder.elimination(sig, ("s",)), position="pt",
+                              top_comps=[2])):
+        keyf, key = _make_keyf(order, pk), _ref_key(order, pk)
+        assert sorted(labs, key=keyf) == sorted(labs, key=key)
+
+
+def test_normal_form_rational_input_exact_remainder_and_cofactors():
+    # p and the divisors carry non-integer coefficients; the engine clears
+    # them, and the remainder must be the rational one, not a multiple of it
+    sig = d_n_s(("x", "y"))
+    x, y, dx, dy, s = (W.gen(sig, n) for n in ("x", "y", "dx", "dy", "s"))
+    third, five_halves = QQ(1, 3), QQ(-5, 2)
+    gens = [dx * dx * third + x * five_halves, dy * five_halves - y * s * third,
+            W.zero(sig), x * dy * QQ(-7, 4) + 1]
+    p = (dx ** 3 * y * five_halves + dx * dy * s * third + x * x * dx * QQ(3, 7)
+         + y * QQ(-1, 6))
+    order = TermOrder.grevlex(sig)
+    r, cof = normal_form(p, gens, order, track_cofactors=True)
+    recon = r
+    for a, g in zip(cof, gens):
+        recon = recon + a * g
+    assert recon == p
+    assert cof[2].is_zero()
+    pk = sig._pk
+    key = _ref_key(ModuleOrder(order), pk)
+    ref = _ref_nf(p.terms, [_RefRed(g.terms, key, pk) for g in gens if g], pk, key)
+    assert r.terms == ref and not r.is_zero()
+
+
+def test_represent_rational_input_identity():
+    sig = d_n_s(("x",))
+    x, dx, s = (W.gen(sig, n) for n in ("x", "dx", "s"))
+    gens = [x * dx * QQ(1, 3) - s * QQ(5, 2), x * x * QQ(-5, 2)]    # a proper ideal
+    p = (dx * QQ(2, 3) + s) * gens[0] + (x * QQ(-1, 7) + 3) * gens[1]
+    cof = represent(p, gens)
+    assert cof is not None
+    recon = W.zero(sig)
+    for a, g in zip(cof, gens):
+        recon = recon + a * g
+    assert recon == p
+    assert represent(p + QQ(1, 3), gens) is None
