@@ -410,11 +410,12 @@ def _run_verify(args, prob):
     dl = _deadline(args)
     ann = ann_fs(inst, deadline=dl)
     section = LogSection.fs(inst)
-    sound = all(annihilates(g, section) for g in ann.basis())
+    ann = ann.groebner(deadline=dl)     # its basis also serves the check of P0
+    sound = all(annihilates(g, section) for g in ann.cached_gb)
     b = bfunction(ann, inst.f, deadline=dl)
     eqn = functional_operator(ann, inst.f, b, deadline=dl)
-    lhs = apply_log_section(eqn.P0, LogSection.fs(inst, mult=inst.f))
-    rhs = apply_log_section(b.as_operator(inst.sig_s), LogSection.fs(inst))
+    lhs = apply_log_section(eqn.P0, apply_log_section(inst.f, section))
+    rhs = apply_log_section(b.as_operator(inst.sig_s), section)
     funceq_ok = (lhs - rhs).is_zero()
     doc = {"command": "verify", "stage": "verify",
            "annihilator_sound": bool(sound),

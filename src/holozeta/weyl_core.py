@@ -492,16 +492,20 @@ class WeylOperator:
         sh = self.sig._pk.shifts[i]
         return any((m >> sh) & 0x7FFF for m in self.terms)
 
+    def _lead(self, order):
+        return max(self.terms, key=_make_keyf(ModuleOrder(order), self.sig._pk))
+
     def lm(self, order):
-        return max(self.exponent_terms(), key=order.key)
+        return _unpack(self.sig._pk, self._lead(order))
 
     def lc(self, order):
-        terms = self.exponent_terms()
-        return terms[max(terms, key=order.key)]
+        return self.terms[self._lead(order)]
 
     def sorted_terms(self, order):
-        return sorted(self.exponent_terms().items(), key=lambda mc: order.key(mc[0]),
-                      reverse=True)
+        pk = self.sig._pk
+        keyf = _make_keyf(ModuleOrder(order), pk)
+        return [(_unpack(pk, m), self.terms[m])
+                for m in sorted(self.terms, key=keyf, reverse=True)]
 
     # -- slot surgery -----------------------------------------------------------
     def embed(self, new_sig):
@@ -692,23 +696,14 @@ class TermOrder:
     def __hash__(self):
         return hash((self.sig, self.weight_rows, self.blocks))
 
-    def key(self, mono):
-        parts = []
-        for row in self.weight_rows:
-            parts.append(sum(w * e for w, e in zip(row, mono)))
-        for blk in self.blocks:
-            parts.append(sum(mono[i] for i in blk))
-            parts.extend(-mono[i] for i in reversed(blk))
-        return tuple(parts)
-
 
 class ModuleOrder:
-    """Extension of a TermOrder to labelled monomials (component, mono).
+    """Extension of a TermOrder to labelled packed monomials.
 
     position "tp" = term over position, "pt" = position over term; between
     components the lower index is the larger.  top_comps, when given with "pt",
     lists components that dominate all others (used for component
-    elimination).  The engine compares by the integer key of _make_keyf.
+    elimination).  Monomials compare by the integer key of _make_keyf.
     """
 
     def __init__(self, term_order, position="tp", top_comps=None):
@@ -872,13 +867,14 @@ _COMP_BITS = 32
 def _make_keyf(order, pk):
     """Integer key of labelled packed monomials under a ModuleOrder.
 
-    Each entry of the TermOrder key (a weight, a block degree or a negated
-    exponent) is a linear form in the exponents, bounded by
-    MAX_EXPONENT * (its absolute row sum).  Read as the digits of an integer
-    in a radix above twice that bound, the tuple compares like the integer,
-    which is therefore sum_i e_i * w_i for one weight w_i per slot.  The
-    component takes one more digit of _COMP_BITS bits, last ("tp") or first
-    ("pt"); integer keys compare exactly as the ModuleOrder does.
+    Each entry of the TermOrder (a weight row's weight, then per block its
+    degree and its exponents from the last slot back, negated) is a linear
+    form in the exponents, bounded by MAX_EXPONENT * (its absolute row sum).
+    Read as the digits of an integer in a radix above twice that bound, the
+    entries compare like the integer, which is therefore sum_i e_i * w_i for
+    one weight w_i per slot.  The component takes one more digit of
+    _COMP_BITS bits, last ("tp") or first ("pt"); integer keys compare
+    exactly as the ModuleOrder does.
     """
     term_order = order.term_order
     n = len(pk.shifts)
@@ -1172,15 +1168,15 @@ def colon_kernel(vec, module, deadline=None, stage="colon"):
 
 
 def component_zero_ideal(module, comp=0, deadline=None, stage="component-colon"):
-    """{P : P e_comp in module} for a unit vector, by component elimination."""
+    """{P : P e_comp in module} for a unit vector, by component elimination:
+    the module basis is reduced and every other component sits above comp, so
+    its rows with only component comp are the ideal's reduced grevlex basis."""
     sig = module.sig
     others = [c for c in range(module.rank) if c != comp]
     order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=others)
     gb = module.groebner(order, deadline, stage)
-    gens = [v[comp] for v in gb.cached_gb
-            if all(v[c].is_zero() for c in others)]
-    out = IdealPresentation.make(sig, gens)
-    return out.groebner(TermOrder.grevlex(sig), deadline, stage)
+    gens = tuple(v[comp] for v in gb.cached_gb if all(v[c].is_zero() for c in others))
+    return IdealPresentation(sig, gens, gens, TermOrder.grevlex(sig))
 
 
 def represent(p, gens, deadline=None, stage="represent"):

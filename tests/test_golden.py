@@ -91,26 +91,29 @@ def _format_engine_calls(recorded):
 
 def _src_stages():
     """Every stage name src/ passes: a string given as a stage argument or
-    default, or such a string followed by a suffix added to a stage name."""
-    names, suffixes = set(), set()
+    as a stage default, or a function's stage default plus a string that the
+    function adds to it."""
+    names = set()
     for path in glob.glob(os.path.join(ROOT, "src", "holozeta", "*.py")):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
-            if isinstance(node, ast.keyword) and node.arg == "stage":
-                value = node.value
-                if isinstance(value, ast.Constant):
-                    names.add(value.value)
-                elif (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
-                      and isinstance(value.right, ast.Constant)):
-                    suffixes.add(value.right.value)
-            elif isinstance(node, ast.FunctionDef):
-                args = node.args.args + node.args.kwonlyargs
-                defaults = ([None] * (len(node.args.args) - len(node.args.defaults))
-                            + node.args.defaults + node.args.kw_defaults)
-                names.update(d.value for a, d in zip(args, defaults)
-                             if a.arg == "stage" and isinstance(d, ast.Constant))
-    return names | {n + s for n in names for s in suffixes}
+            if isinstance(node, ast.keyword) and node.arg == "stage" \
+                    and isinstance(node.value, ast.Constant):
+                names.add(node.value.value)
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = node.args.args[len(node.args.args) - len(node.args.defaults):]
+            default = next((d.value for a, d in zip(params, node.args.defaults)
+                            if a.arg == "stage" and isinstance(d, ast.Constant)), None)
+            if default is None:
+                continue
+            names.add(default)
+            names.update(default + inner.value.right.value for inner in ast.walk(node)
+                         if isinstance(inner, ast.keyword) and inner.arg == "stage"
+                         and isinstance(inner.value, ast.BinOp)
+                         and isinstance(inner.value.right, ast.Constant))
+    return names
 
 
 @pytest.mark.parametrize("stem,command,problem,flags", CASES,

@@ -3,9 +3,10 @@ brute-force single-step rewriter where a second opinion is available."""
 import heapq
 import math
 import random
+import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from holozeta import (
@@ -29,12 +30,14 @@ from holozeta.bfunction import BFunction
 from holozeta.weyl_core import (
     MAX_EXPONENT,
     GBStats,
+    GBTimeout,
     ModuleOrder,
     _make_keyf,
     _pack,
     _pdeg,
     _term_mul_into,
     _unpack,
+    component_zero_ideal,
     groebner_engine,
     last_gb_stats,
     rational_content,
@@ -429,6 +432,16 @@ def test_colon_kernel_rank_one_identity():
     assert list(out.basis()) == [dx]
 
 
+def test_colon_kernel_of_x_modulo_dx():
+    # {P : P x in D dx} = Ann(x) = D (x dx - 1) + D dx^2, read off the rows
+    # of the module basis without a second Buchberger run
+    sig = d_n(("x",))
+    x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
+    out = colon_kernel([x], SubmodulePresentation.make(1, sig, [(dx,)]))
+    assert out.cached_gb == (dx * dx, x * dx - 1) == out.generators
+    assert out.cached_gb == IdealPresentation.make(sig, out.generators).groebner().cached_gb
+
+
 def test_colon_kernel_zero_vector():
     sig = d_n(("x",))
     dx = W.gen(sig, "dx")
@@ -612,16 +625,9 @@ def test_eliminate_reembedding_contained_in_original():
         assert orig.contains(g.embed(sig))
 
 
-def test_cached_basis_is_reduced_and_monic():
+def _assert_reduced_and_monic(basis, order):
     # no term of any element is divisible by another element's leading
     # monomial, and leading coefficients are 1
-    sig = d_n(("x", "y"))
-    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
-    gb = IdealPresentation.make(
-        sig, [2 * x * dx + 3 * y * dy + 6, 2 * y * dx + 3 * x * x * dy,
-              x ** 3 - y ** 2]).groebner()
-    order = gb.cached_order
-    basis = gb.cached_gb
     for g in basis:
         assert g.lc(order) == 1
     for i, g in enumerate(basis):
@@ -633,6 +639,15 @@ def test_cached_basis_is_reduced_and_monic():
                 assert not all(a >= b for a, b in zip(m, lm)), (i, j)
 
 
+def test_cached_basis_is_reduced_and_monic():
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    gb = IdealPresentation.make(
+        sig, [2 * x * dx + 3 * y * dy + 6, 2 * y * dx + 3 * x * x * dy,
+              x ** 3 - y ** 2]).groebner()
+    _assert_reduced_and_monic(gb.cached_gb, gb.cached_order)
+
+
 # ---------------------------------------------------------------------------
 # reference: the Buchberger over Q that the fraction-free engine replaced,
 # with the same pair selection, reducer choice, chain criterion and order
@@ -641,12 +656,17 @@ def test_cached_basis_is_reduced_and_monic():
 # ---------------------------------------------------------------------------
 
 def _ref_key(order, pk):
-    """The ModuleOrder as a tuple key on labelled packed monomials."""
+    """The ModuleOrder as a tuple key on labelled packed monomials: each
+    weight row's weight, then per block its degree and its exponents from
+    the last slot back, negated; the component goes last ("tp") or first."""
     term_order = order.term_order
 
     def key(lab):
         comp = lab >> pk.cshift
-        tkey = term_order.key(_unpack(pk, lab & pk.smask))
+        mono = _unpack(pk, lab & pk.smask)
+        tkey = tuple(sum(w * e for w, e in zip(row, mono)) for row in term_order.weight_rows)
+        for blk in term_order.blocks:
+            tkey += (sum(mono[i] for i in blk),) + tuple(-mono[i] for i in reversed(blk))
         if order.position == "tp":
             return tkey + (-comp,)
         lead = (int(comp in order.top_comps),) if order.top_comps is not None else ()
@@ -804,6 +824,30 @@ def test_engine_matches_rational_buchberger_represent_payload():
     (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(aug, sig, order, {0})
     assert basis == ref_basis and stats == ref_stats
     assert stats.pairs_considered > 0
+
+
+@pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y"))], ids=["D1", "D2"])
+@pytest.mark.parametrize("rank", [2, 3])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_component_zero_ideal_rows_are_its_reduced_basis(sig, rank, data):
+    # the rows with only component comp of the module basis, against a
+    # second Buchberger run on them; entries are dropped at random so that
+    # the ideal is often nonzero
+    columns = [data.draw(_generators(sig)) for _ in range(rank)]
+    vectors = [tuple(op if data.draw(st.booleans()) else W.zero(sig) for op in vec)
+               for vec in zip(*columns)]
+    comp = data.draw(st.integers(0, rank - 1))
+    module = SubmodulePresentation.make(rank, sig, vectors)
+    try:
+        # a few draws in a hundred over D_2 take seconds to minutes
+        ideal = component_zero_ideal(module, comp, deadline=time.monotonic() + 1)
+    except GBTimeout:
+        reject()
+    order = TermOrder.grevlex(sig)
+    assert ideal.cached_order == order and ideal.cached_gb == ideal.generators
+    assert ideal.cached_gb == IdealPresentation.make(sig, ideal.generators).groebner().cached_gb
+    _assert_reduced_and_monic(ideal.cached_gb, order)
 
 
 def test_integer_key_orders_like_tuple_key():
