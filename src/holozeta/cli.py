@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -249,7 +250,7 @@ class ProblemFile:
         ann_field, ann_line = take("annihilator")
         if not ann_field:
             raise InputError("missing 'annihilator'")
-        lambda0, _ = take("lambda0")
+        lambda0, lambda0_line = take("lambda0")
         k, _ = take("k")
         phi, phi_line = take("phi")
         if phi and phi not in PHI_FAMILIES:
@@ -262,7 +263,7 @@ class ProblemFile:
         ann_texts = [t.strip() for t in ann_field.split(",") if t.strip()]
         try:
             return cls(var_names, f_text, ann_texts,
-                       lambda0=_parse_rational(lambda0) if lambda0 else None,
+                       lambda0=_parse_rational(lambda0, lambda0_line) if lambda0 else None,
                        k=int(k) if k is not None else None,
                        phi=phi or None,
                        assume_saturated=sat)
@@ -289,19 +290,18 @@ class ProblemFile:
             raise InputError(str(exc)) from None
 
 
-def _parse_rational(text):
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(text, line=None):
+    """A rational written [+-]p or [+-]p/q, with decimal digits p and q."""
     text = text.strip()
-    neg = text.startswith("-")
-    if neg:
-        text = text[1:]
-    if "/" in text:
-        p, q = text.split("/", 1)
-        if not int(q):
-            raise InputError("zero denominator")
-        val = QQ(int(p), int(q))
-    else:
-        val = QQ(int(text))
-    return -val if neg else val
+    if not _RATIONAL.fullmatch(text):
+        raise InputError(f"not a rational p/q: {text!r}", line)
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise InputError("zero denominator", line)
+    return QQ(int(num), int(den or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +344,9 @@ def _emit(doc, args, wall):
     print(f"[{doc['command']}] wall time {wall:.2f}s", file=sys.stderr)
 
 
-def _deadline(args):
-    return time.monotonic() + args.timeout if args.timeout else None
-
-
 def _run_ann_fs(args, prob):
     inst = prob.instance(strict=False)
-    ann = ann_fs(inst, deadline=_deadline(args))
+    ann = ann_fs(inst, deadline=args.deadline)
     doc = {"command": "ann-fs", "stage": "ann-fs",
            "generators": _canonical_strings(ann)}
     if not prob.assume_saturated:
@@ -361,9 +357,8 @@ def _run_ann_fs(args, prob):
 
 def _run_bfun(args, prob):
     inst = prob.instance()
-    dl = _deadline(args)
-    ann = ann_fs(inst, deadline=dl)
-    b = bfunction(ann, inst.f, deadline=dl)
+    ann = ann_fs(inst, deadline=args.deadline)
+    b = bfunction(ann, inst.f, deadline=args.deadline)
     return {"command": "bfun", "stage": "b-function",
             "bfunction": {"monic": b.poly.to_str(),
                           "factored": b.factored_str()}}
@@ -371,10 +366,9 @@ def _run_bfun(args, prob):
 
 def _run_funceq(args, prob):
     inst = prob.instance()
-    dl = _deadline(args)
-    ann = ann_fs(inst, deadline=dl)
-    b = bfunction(ann, inst.f, deadline=dl)
-    eqn = functional_operator(ann, inst.f, b, deadline=dl)
+    ann = ann_fs(inst, deadline=args.deadline)
+    b = bfunction(ann, inst.f, deadline=args.deadline)
+    eqn = functional_operator(ann, inst.f, b, deadline=args.deadline)
     return {"command": "funceq", "stage": "functional-equation",
             "bfunction": {"monic": b.poly.to_str(), "factored": b.factored_str()},
             "P0": eqn.P0.to_str()}
@@ -387,7 +381,7 @@ def _run_laurent(args, prob):
     if lambda0 is None or k is None:
         raise InputError("laurent needs lambda0 and k (file keys or flags)")
     req = LaurentRequest(inst, lambda0, int(k))
-    system = ann_laurent(req, deadline=_deadline(args))
+    system = ann_laurent(req, deadline=args.deadline)
     return {"command": "laurent", "stage": "laurent-annihilator",
             "lambda0": str(QQ(lambda0)), "k": int(k),
             "pole_order_bound": system.l, "shift_m": system.m,
@@ -397,7 +391,7 @@ def _run_laurent(args, prob):
 
 def _run_zeta_diff(args, prob):
     inst = prob.instance()
-    ops = zeta_difference(inst, deadline=_deadline(args))
+    ops = zeta_difference(inst, deadline=args.deadline)
     doc = {"command": "zeta-diff", "stage": "zeta-difference",
            "difference_operators": [op.to_str() for op in ops]}
     g = difference_gcrd(ops)
@@ -407,13 +401,12 @@ def _run_zeta_diff(args, prob):
 
 def _run_verify(args, prob):
     inst = prob.instance()
-    dl = _deadline(args)
-    ann = ann_fs(inst, deadline=dl)
+    ann = ann_fs(inst, deadline=args.deadline)
     section = LogSection.fs(inst)
-    ann = ann.groebner(deadline=dl)     # its basis also serves the check of P0
+    ann = ann.groebner(deadline=args.deadline)     # its basis also serves the check of P0
     sound = all(annihilates(g, section) for g in ann.cached_gb)
-    b = bfunction(ann, inst.f, deadline=dl)
-    eqn = functional_operator(ann, inst.f, b, deadline=dl)
+    b = bfunction(ann, inst.f, deadline=args.deadline)
+    eqn = functional_operator(ann, inst.f, b, deadline=args.deadline)
     lhs = apply_log_section(eqn.P0, apply_log_section(inst.f, section))
     rhs = apply_log_section(b.as_operator(inst.sig_s), section)
     funceq_ok = (lhs - rhs).is_zero()
@@ -422,7 +415,7 @@ def _run_verify(args, prob):
            "functional_equation_holds": bool(funceq_ok),
            "bfunction": {"monic": b.poly.to_str(), "factored": b.factored_str()}}
     if prob.phi and len(prob.vars) <= 2:
-        ops = zeta_difference(inst, deadline=dl)
+        ops = zeta_difference(inst, deadline=args.deadline)
         order = max(op.max_power for op in ops)
         lams = list(range(0, 7 + order))
         zv = numeric_zeta(inst.f, PhiSpec(prob.phi), lams, tol=args.tol, box=args.box)
@@ -476,7 +469,12 @@ def run(argv=None):
         except ValueError as exc:
             print(f"input error: bad --lambda0: {exc}", file=sys.stderr)
             return 3
+    if args.timeout is not None and not args.timeout > 0:
+        print(f"input error: --timeout must be positive, not {args.timeout:g}",
+              file=sys.stderr)
+        return 3
     t0 = time.monotonic()
+    args.deadline = None if args.timeout is None else t0 + args.timeout
     try:
         prob = ProblemFile.load(args.problem)
     except (OSError, ValueError) as exc:
@@ -495,7 +493,12 @@ def run(argv=None):
         print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
               file=sys.stderr)
         return 4
-    _emit(doc, args, time.monotonic() - t0)
+    wall = time.monotonic() - t0
+    if args.timeout is not None and wall > args.timeout:
+        print(f"timeout: the command ended after {wall:.2f} s, past --timeout "
+              f"{args.timeout:g}", file=sys.stderr)
+        return 2
+    _emit(doc, args, wall)
     return 0
 
 

@@ -30,6 +30,7 @@ from .weyl_core import (
     component_zero_ideal,
     d_1,
     minimal_polynomial,
+    q_str,
     rational_content,
 )
 
@@ -306,7 +307,7 @@ class DifferenceOperator:
             if k == 0:
                 body = q.to_str(compact=True) if q.degree == 0 else f"({q.to_str(compact=True)})"
             elif q.degree == 0:
-                body = e if q.lead == 1 else f"{_qabs(q.lead)}*{e}"
+                body = e if q.lead == 1 else f"{q_str(q.lead)}*{e}"
             else:
                 body = f"({q.to_str(compact=True)})*{e}"
             parts.append((sign, body))
@@ -318,11 +319,6 @@ class DifferenceOperator:
 
     def __repr__(self):
         return f"<DifferenceOperator {self.to_str()}>"
-
-
-def _qabs(c):
-    n, d = int(abs(c).numerator), int(abs(c).denominator)
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def mellin_raw(op):

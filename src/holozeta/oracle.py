@@ -22,7 +22,6 @@ from .weyl_core import (
     TermOrder,
     WeylOperator,
     add_term,
-    normal_form,
 )
 
 
@@ -86,11 +85,6 @@ class LogSection:
         sec._put(j, op, 0)
         return sec
 
-    def _reduce(self, op):
-        if not self._gb.cached_gb:
-            return op
-        return normal_form(op, list(self._gb.cached_gb), self._gb.cached_order)[0]
-
     def _left_div_f(self, op):
         """op = f * q exactly (as a left factor), or None.
 
@@ -126,13 +120,13 @@ class LogSection:
             if fpow < k:
                 op = f ** (k - fpow) * op
             op, fpow = cop + op, k
-        op = self._reduce(op)
+        op = self._gb.normal_form(op)
         # canonical form: clear common left f-factors against the denominator
         while fpow > 0 and op:
             q = self._left_div_f(op)
             if q is None:
                 break
-            op, fpow = self._reduce(q), fpow - 1
+            op, fpow = self._gb.normal_form(q), fpow - 1
         if op.is_zero():
             self.entries.pop(j, None)
         else:
@@ -185,7 +179,7 @@ class LogSection:
             cur = op
             m = 0
             while m <= m_cap:
-                if self._reduce(cur).is_zero():
+                if self._gb.contains(cur):
                     break
                 cur = f * cur
                 m += 1

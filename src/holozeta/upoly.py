@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .weyl_core import QQ, QQ0, QQ1, rational_content
+from .weyl_core import QQ, QQ0, QQ1, q_str, rational_content
 
 
 class UPoly:
@@ -31,17 +31,8 @@ class UPoly:
         return cls((1,))
 
     @classmethod
-    def const(cls, v):
-        return cls((v,))
-
-    @classmethod
     def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def linear(cls, a0, a1=1):
-        """a1*s + a0"""
-        return cls((a0, a1))
 
     @classmethod
     def from_roots(cls, roots):
@@ -243,11 +234,11 @@ class UPoly:
             if not c:
                 continue
             if e == 0:
-                body = _qs(abs(c))
+                body = q_str(abs(c))
             else:
                 v = var if e == 1 else f"{var}^{e}"
-                body = v if abs(c) == 1 else (f"{_qs(abs(c))}{v}" if compact
-                                              else f"{_qs(abs(c))}*{v}")
+                body = v if abs(c) == 1 else (f"{q_str(abs(c))}{v}" if compact
+                                              else f"{q_str(abs(c))}*{v}")
             parts.append(("-" if c < 0 else "+", body))
         sign0, body0 = parts[0]
         joiner = "" if compact else " "
@@ -258,11 +249,6 @@ class UPoly:
 
     def __repr__(self):
         return f"<UPoly {self.to_str()}>"
-
-
-def _qs(c):
-    n, d = int(c.numerator), int(c.denominator)
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # Integer polynomials below are coefficient lists, lowest degree first.

@@ -19,6 +19,7 @@ case as it stands.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -26,6 +27,7 @@ import operator
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 try:
     from gmpy2 import mpq as QQ
@@ -64,6 +66,12 @@ def rational_content(coeffs):
         num = math.gcd(num, int(c.numerator))
         den = math.lcm(den, int(c.denominator))
     return QQ(num, den)
+
+
+def q_str(c):
+    """A rational as the programs print it: n or n/d."""
+    n, d = int(c.numerator), int(c.denominator)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def add_term(terms, m, c):
@@ -140,9 +148,6 @@ class RingSignature:
             return self._index[name]
         except KeyError:
             raise SignatureMismatch(f"no generator {name!r} in {self._names}") from None
-
-    def x_slot(self, i):
-        return i
 
     def d_slot(self, i):
         return self.n_x + i
@@ -574,7 +579,7 @@ class WeylOperator:
 
     def x_derivative(self, i):
         """Commutative d/dx_i; requires a pure polynomial in the x's/extras."""
-        return self._slot_derivative(self.sig.x_slot(i))
+        return self._slot_derivative(i)
 
     def coeff_of_extra_power(self, name, e):
         """Operator coefficient of (extra)^e, with the extra slot removed."""
@@ -618,11 +623,11 @@ class WeylOperator:
                 elif e:
                     factors.append(f"{names[i]}^{e}")
             if not factors:
-                body = _q_str(abs(c))
+                body = q_str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_q_str(abs(c))] + factors)
+                body = "*".join([q_str(abs(c))] + factors)
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -633,11 +638,6 @@ class WeylOperator:
 
     def __repr__(self):
         return f"<WeylOperator {self.to_str()}>"
-
-
-def _q_str(c):
-    n, d = int(c.numerator), int(c.denominator)
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # ---------------------------------------------------------------------------
@@ -752,33 +752,63 @@ def _rational(terms, q):
     return {m: c / q for m, c in terms.items()}
 
 
-def _nf(p, reds, pk, keyf, track=False, sparsest=False):
+class _Reducers:
+    """A basis as primitive integer _Reds (reds, in the order added) and, per
+    leading component, the scan list in which _nf takes the first divisor:
+    in the order added, or sparsest first (stable) when sparsest is set, for
+    less fill-in while the Groebner engine completes a basis."""
+
+    def __init__(self, keyf, pk, sparsest=False):
+        self.keyf = keyf
+        self.pk = pk
+        self.sparsest = sparsest
+        self.reds = []
+        self.scan = {}
+
+    @classmethod
+    def of(cls, order, pk, basis):
+        """The reducers of rational labelled term dicts under a ModuleOrder."""
+        keyf = _make_keyf(order, pk)
+        out = cls(keyf, pk)
+        for terms in basis:
+            if terms:
+                out.add(_Red(_integral(terms)[1], keyf, pk))
+        return out
+
+    def add(self, red):
+        self.reds.append(red)
+        scan = self.scan.setdefault(red.comp, [])
+        if self.sparsest:
+            bisect.insort(scan, red, key=lambda r: len(r.terms))
+        else:
+            scan.append(red)
+
+    def remainder(self, terms):
+        """The normal form of a rational labelled term dict, exactly: _nf's
+        integer remainder is mult times the rational one."""
+        q, ints = _integral(terms)
+        mult, rem = _nf(ints, self)
+        return _rational(rem, q * mult)
+
+
+def _nf(p, reducers):
     """Fraction-free left normal form of an integer labelled term dict.
 
-    Returns (mult, remainder dict, cofactors) with integer coefficients,
-    mult > 0 and mult * p = sum_i cofactor_i * reds_i + remainder, where
-    cofactors[i] is a packed-mono -> coeff dict (None unless track).  A step
-    reducing the term c x^l by r (lc r = u, d = gcd(c, u)) is
+    Returns (mult, remainder dict) with integer coefficients, mult > 0 and
+    mult * p - remainder in the left ideal of the reducers.  A step reducing
+    the term c x^l by r (lc r = u, d = gcd(c, u)) is
     p <- (|u|/d) p - sign(u) (c/d) x^(l - lm r) r, so the remainder is mult
     times the rational one, term for term.  A step's multiplier (mostly 1) is
     applied at once to the unreduced terms, but to the remainder only at the
     end, since no later step touches its terms.  The reducer is the first
-    match in listing order, or the one with fewest terms when sparsest is set
-    (less fill-in during basis completion; both are deterministic).  Only
-    reducers of the term's component are scanned.
+    divisor in the scan list of the term's component.
     """
+    pk, keyf, scan = reducers.pk, reducers.keyf, reducers.scan
     work = dict(p)
     mult = 1                   # product of the step multipliers so far
     rem = []                   # (lab, coeff, mult when it was moved)
-    cof = [dict() for _ in reds] if track else None
     guard = pk.guard
     cs = pk.cshift
-    by_comp = {}
-    listing = enumerate(reds)
-    if sparsest:               # stable: the first of the sparsest reducers
-        listing = sorted(listing, key=lambda ir: len(ir[1].terms))
-    for i, r in listing:
-        by_comp.setdefault(r.comp, []).append((i, r))
     heap = [(-keyf(lab), lab) for lab in work]
     heapq.heapify(heap)
     push = heapq.heappush
@@ -788,13 +818,11 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
         c = work.get(lab)
         if not c:
             continue
-        red = None
-        for i, r in by_comp.get(lab >> cs, ()):
-            quot = lab - r.lm
+        for red in scan.get(lab >> cs, ()):
+            quot = lab - red.lm
             if quot >= 0 and not (quot & guard):
-                red, idx = r, i
                 break
-        if red is None:
+        else:
             rem.append((lab, c, mult))
             del work[lab]
             continue
@@ -806,10 +834,6 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
             mult *= a
             for m in work:
                 work[m] *= a
-            if track:
-                for t in cof:
-                    for m in t:
-                        t[m] *= a
         touched.clear()
         _term_mul_into(pk, work, -b, quot, red.terms, touched)
         for lab2 in touched:
@@ -817,9 +841,7 @@ def _nf(p, reds, pk, keyf, track=False, sparsest=False):
                 push(heap, (-keyf(lab2), lab2))
         if lab in work:  # cancellation is exact; the leading term must go
             raise AssertionError("leading term failed to cancel")
-        if track:
-            add_term(cof[idx], quot, b)
-    return mult, {lab: c * (mult // then) for lab, c, then in rem}, cof
+    return mult, {lab: c * (mult // then) for lab, c, then in rem}
 
 
 @dataclass
@@ -914,11 +936,11 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     primitive integer dicts: the S-polynomial of f and g is
     (lc g/d) x^a f - (lc f/d) x^b g with d = gcd(lc f, lc g), and each new
     remainder is divided by its content.  Deterministic: sugar-then-lcm
-    pair selection, first-match reduction, final basis sorted by leading
-    monomial.  When pair_components is given, S-pairs are only formed between
-    elements whose leading components lie in that set; the other components
-    ride along as exact payload (used for representation tracking, where
-    completeness is only needed in front).
+    pair selection, reduction by the first of the sparsest divisors, final
+    basis sorted by leading monomial.  When pair_components is given, S-pairs
+    are only formed between elements whose leading components lie in that
+    set; the other components ride along as exact payload (used for
+    representation tracking, where completeness is only needed in front).
     """
     global _LAST_STATS
     stats = GBStats()
@@ -929,8 +951,11 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     guard = pk.guard
     cs = pk.cshift
 
-    basis = [_Red(_integral(g)[1], keyf, pk) for g in gens if g]
-    basis.sort(key=lambda r: r.key)
+    reducers = _Reducers(keyf, pk, sparsest=True)
+    for r in sorted((_Red(_integral(g)[1], keyf, pk) for g in gens if g),
+                    key=lambda r: r.key):
+        reducers.add(r)
+    basis = reducers.reds
 
     def lcm_of(a, b):
         am, bm = a.lm, b.lm
@@ -980,31 +1005,28 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         s = {}
         _term_mul_into(pk, s, fj.lc // d, l - fi.lm, fi.terms)
         _term_mul_into(pk, s, -(fi.lc // d), l - fj.lm, fj.terms)
-        rem = _nf(s, basis, pk, keyf, sparsest=True)[1]
+        rem = _nf(s, reducers)[1]
         if rem:
             g = math.gcd(*rem.values())
-            basis.append(_Red({m: c // g for m, c in rem.items()}, keyf, pk))
+            reducers.add(_Red({m: c // g for m, c in rem.items()}, keyf, pk))
             push_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
 
-    # minimalize
-    basis.sort(key=lambda r: r.key)
-    kept = []
-    for r in basis:
-        ok = True
-        for k in kept:
-            d = r.lm - k.lm
-            if k.comp == r.comp and d >= 0 and not (d & guard):
-                ok = False
-                break
-        if ok:
-            kept.append(r)
+    # minimalize: in key order, keep the elements no kept one divides
+    kept = _Reducers(keyf, pk)
+    for r in sorted(basis, key=lambda r: r.key):
+        if not any((d := r.lm - k.lm) >= 0 and not (d & guard)
+                   for k in kept.scan.get(r.comp, ())):
+            kept.add(r)
     # tail-reduce each against the others
     reduced = []
-    for idx, r in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        rem = _nf(dict(r.terms), others, pk, keyf)[1] if others else dict(r.terms)
+    for r in kept.reds:
+        scan = kept.scan[r.comp]
+        at = scan.index(r)
+        del scan[at]
+        rem = _nf(dict(r.terms), kept)[1]
+        scan.insert(at, r)
         reduced.append(_rational(rem, QQ(rem[max(rem, key=keyf)])))
     reduced.sort(key=lambda t: keyf(max(t, key=keyf)))
     stats.basis_size = len(reduced)
@@ -1029,36 +1051,24 @@ def _split(pk, lab, sig, rank):
     return tuple(WeylOperator._of(sig, t) for t in vec)
 
 
-def normal_form(p, gens, order=None, track_cofactors=False):
-    """Left division remainder of p by gens; optionally the cofactors too.
-
-    p = sum_i cofactor_i * gens_i + remainder, no remainder term divisible by
-    a leading monomial of gens.
-    """
+def normal_form(p, gens, order=None):
+    """Left division remainder of p by gens: p minus it lies in the left ideal
+    of gens, and no term of it is divisible by a leading monomial of gens."""
     if not gens:
         raise ValueError("empty divisor list")
     sig = p.sig
     for g in gens:
         if g.sig != sig:
             raise SignatureMismatch("normal_form operands differ in signature")
-    pk = sig._pk
-    keyf = _make_keyf(ModuleOrder(order or TermOrder.grevlex(sig)), pk)
-    ints = [_integral(g.terms) for g in gens]        # (q_i, q_i * g_i)
-    reds = [_Red(t, keyf, pk) for _q, t in ints if t]
-    q, terms = _integral(p.terms)
-    mult, rem, cof = _nf(terms, reds, pk, keyf, track=track_cofactors)
-    q *= mult                  # q * p = sum_i cof_i * reds_i + rem
-    r = WeylOperator._of(sig, _rational(rem, q))
-    if not track_cofactors:
-        return r, None
-    cof = iter(cof)
-    return r, [WeylOperator._of(sig, _rational(next(cof), q / qg) if t else {})
-               for qg, t in ints]
+    reducers = _Reducers.of(ModuleOrder(order or TermOrder.grevlex(sig)), sig._pk,
+                            [g.terms for g in gens])
+    return WeylOperator._of(sig, reducers.remainder(p.terms))
 
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Left ideal given by generators, with an optional cached reduced GB."""
+    """Left ideal given by generators, with an optional cached reduced GB;
+    immutable, with the division reducers of that basis built once."""
 
     sig: RingSignature
     generators: tuple
@@ -1081,14 +1091,20 @@ class IdealPresentation:
     def basis(self, order=None, deadline=None, stage="groebner"):
         return self.groebner(order, deadline, stage).cached_gb
 
-    def normal_form(self, p, track_cofactors=False):
+    @cached_property
+    def _reducers(self):
+        return _Reducers.of(ModuleOrder(self.cached_order), self.sig._pk,
+                            [g.terms for g in self.cached_gb])
+
+    def normal_form(self, p):
+        """The remainder of p modulo the cached basis (grevlex if none)."""
+        if p.sig != self.sig:
+            raise SignatureMismatch("normal_form operands differ in signature")
         gb = self.groebner(self.cached_order)
-        if not gb.cached_gb:           # zero ideal
-            return (p.copy(), []) if track_cofactors else (p.copy(), None)
-        return normal_form(p, list(gb.cached_gb), gb.cached_order, track_cofactors)
+        return WeylOperator._of(self.sig, gb._reducers.remainder(p.terms))
 
     def contains(self, p):
-        return self.normal_form(p)[0].is_zero()
+        return self.normal_form(p).is_zero()
 
     def is_unit(self):
         gb = self.basis()
@@ -1101,7 +1117,8 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class SubmodulePresentation:
-    """Left submodule of D^rank given by generating vectors of operators."""
+    """Left submodule of D^rank given by generating vectors of operators;
+    immutable, with the division reducers of a cached basis built once."""
 
     rank: int
     sig: RingSignature
@@ -1127,14 +1144,14 @@ class SubmodulePresentation:
         vecs = tuple(_split(pk, b, self.sig, self.rank) for b in basis)
         return SubmodulePresentation(self.rank, self.sig, self.generators, vecs, order)
 
+    @cached_property
+    def _reducers(self):
+        pk = self.sig._pk
+        return _Reducers.of(self.cached_order, pk, [_join(pk, v) for v in self.cached_gb])
+
     def contains(self, vec, order=None):
         gb = self.groebner(order or self.cached_order)
-        if not gb.cached_gb:
-            return all(op.is_zero() for op in vec)
-        pk = self.sig._pk
-        keyf = _make_keyf(gb.cached_order, pk)
-        reds = [_Red(_integral(_join(pk, v))[1], keyf, pk) for v in gb.cached_gb]
-        return not _nf(_integral(_join(pk, vec))[1], reds, pk, keyf)[1]
+        return not gb._reducers.remainder(_join(self.sig._pk, vec))
 
 
 def eliminate(ideal, kill, deadline=None, stage="elimination"):
@@ -1192,16 +1209,15 @@ def represent(p, gens, deadline=None, stage="represent"):
     k = len(gens)
     aug = [{**g.terms, (1 + i) << pk.cshift: QQ1} for i, g in enumerate(gens)]
     order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[0])
-    keyf = _make_keyf(order, pk)
     basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
-    front = [_Red(_integral(b)[1], keyf, pk) for b in basis
-             if max(b, key=keyf) >> pk.cshift == 0]
-    q, terms = _integral(p.terms)
-    mult, rem, _ = _nf(terms, front, pk, keyf)
-    vec = _split(pk, _rational(rem, -q * mult), sig, k + 1)
+    # component 0 sits above the others: an element is front-headed iff it
+    # has a term there
+    front = _Reducers.of(order, pk, [b for b in basis
+                                     if any(m >> pk.cshift == 0 for m in b)])
+    vec = _split(pk, front.remainder(p.terms), sig, k + 1)
     if not vec[0].is_zero():
         return None
-    return list(vec[1:])
+    return [-a for a in vec[1:]]
 
 
 def _krull_dim(pk, monos):
@@ -1226,13 +1242,11 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
     from .upoly import UPoly
     sig = ideal.sig
     pk = sig._pk
-    order = TermOrder.grevlex(sig)
-    keyf = _make_keyf(ModuleOrder(order), pk)
-    reds = [_Red(_integral(g.terms)[1], keyf, pk)
-            for g in ideal.basis(order, deadline, stage)]
-    if any(r.lm == 0 for r in reds):
+    reducers = ideal.groebner(TermOrder.grevlex(sig), deadline, stage)._reducers
+    lms = [r.lm for r in reducers.reds]
+    if 0 in lms:
         return UPoly.one()
-    if _krull_dim(pk, [r.lm for r in reds]) > len(sig.pairs):
+    if _krull_dim(pk, lms) > len(sig.pairs):
         return UPoly.zero()
     # echelon rows [r_i | e_i] scaled to 1 at their pivot; the coefficient of
     # r_k rides on the negative key -1-k, below every packed monomial
@@ -1240,7 +1254,7 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
     r = {0: QQ1}               # NF(1): no leading monomial divides 1
     for i in itertools.count():
         if deadline is not None and time.monotonic() > deadline:
-            raise GBTimeout(stage, len(reds), 0)
+            raise GBTimeout(stage, len(lms), 0)
         vec = {**r, -1 - i: QQ1}
         for piv, row in rows:
             c = vec.get(piv)
@@ -1255,6 +1269,4 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
         prod = {}
         for m, c in op.terms.items():
             _term_mul_into(pk, prod, c, m, r.items())
-        q, terms = _integral(prod)
-        mult, rem, _ = _nf(terms, reds, pk, keyf)
-        r = _rational(rem, q * mult)
+        r = reducers.remainder(prod)

@@ -78,5 +78,19 @@ def inst_ex5():
                                 [dx, dy, dz])
 
 
+@pytest.fixture
+def reducer_builds(monkeypatch):
+    """A list that gains an entry each time a key function of a monomial
+    order is made: once per Groebner engine run and per reducer set."""
+    import holozeta.weyl_core as wc
+    builds, make = [], wc._make_keyf
+
+    def counted(order, pk):
+        builds.append(order)
+        return make(order, pk)
+    monkeypatch.setattr(wc, "_make_keyf", counted)
+    return builds
+
+
 def run_slow():
     return os.environ.get("HOLOZETA_SLOW", "") not in ("", "0")

@@ -170,6 +170,57 @@ def test_run_timeout_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan"])
+def test_run_nonpositive_timeout_is_input_error(value, capsys):
+    rc = run(["bfun", prob("cusp.prob"), f"--timeout={value}"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("input error: --timeout must be positive")
+
+
+def test_run_ending_past_the_deadline_exits_2(monkeypatch, capsys):
+    # a command that overruns its deadline outside the engine loops
+    import time
+
+    import holozeta.cli
+
+    def slow(args, prob):
+        time.sleep(0.2)
+        return {"command": "bfun"}
+    monkeypatch.setitem(holozeta.cli._COMMANDS, "bfun", slow)
+    rc = run(["bfun", prob("cusp.prob"), "--timeout=0.1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("timeout: the command ended after")
+    assert run(["bfun", prob("cusp.prob"), "--timeout=5"]) == 0
+
+
+@pytest.mark.parametrize("value", ["--5/6", "1/-2", "5/", "/6", "-5/6/7", "1.5", "- 5/6"])
+def test_run_malformed_lambda0_flag_is_input_error(value, capsys):
+    rc = run(["laurent", prob("cusp.prob"), f"--lambda0={value}", "--k=-1"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("input error: bad --lambda0")
+
+
+@pytest.mark.parametrize("value", ["--5/6", "1/-2"])
+def test_malformed_lambda0_file_key_is_input_error(value, tmp_path, capsys):
+    p = tmp_path / "bad.prob"
+    p.write_text("vars: x, y\nf: x^3 - y^2\nannihilator: dx, dy\n"
+                 f"lambda0: {value}\nk: -1\nassume_saturated: true\n")
+    with pytest.raises(InputError, match=r"not a rational.*\(line 4\)"):
+        ProblemFile.load(str(p))
+    assert run(["laurent", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_lambda0_signs(tmp_path):
+    p = tmp_path / "ok.prob"
+    for text, value in [("-5/6", QQ(-5, 6)), ("+5/6", QQ(5, 6)), (" 4/6 ", QQ(2, 3)),
+                        ("-1", QQ(-1))]:
+        p.write_text(f"vars: x\nf: x\nannihilator: dx\nlambda0: {text}\n")
+        assert ProblemFile.load(str(p)).lambda0 == value
+
+
 def test_console_entry_point_version():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -48,6 +48,19 @@ def test_euler_kills_xs(inst_x):
     assert annihilates(x * dx - s, LogSection.fs(inst_x))
 
 
+def test_sections_reduce_with_one_reducer_set(inst_cusp, reducer_builds):
+    # every section derived from one LogSection.fs divides by the reducers
+    # of the same basis of I, built with the section itself
+    section = LogSection.fs(inst_cusp)
+    assert len(reducer_builds) == 2       # the basis of I, then its reducers
+    reducer_builds.clear()
+    x, y, dx, dy, s = (W.gen(inst_cusp.sig_s, n) for n in ("x", "y", "dx", "dy", "s"))
+    assert annihilates(2 * x * dx + 3 * y * dy - 6 * s, section)
+    assert annihilates(2 * y * dx + 3 * x * x * dy, section)
+    assert not annihilates(dx, section)
+    assert reducer_builds == []
+
+
 def test_dx_on_log_section(inst_cusp):
     # dx (f^s log f) = s f_x f^{-1} f^s log f + f_x f^{-1} f^s
     sig_s = inst_cusp.sig_s
