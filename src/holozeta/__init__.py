@@ -13,7 +13,6 @@ from .weyl_core import (
     QQ,
     GBTimeout,
     IdealPresentation,
-    ModuleOrder,
     NonHomogeneousInput,
     RingSignature,
     SignatureMismatch,
@@ -46,7 +45,6 @@ from .integration import (
     DifferenceOperator,
     RestrictionData,
     difference_gcrd,
-    difference_member,
     fourier_transform,
     integration_ideal,
     mellin_to_difference,

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .upoly import UPoly
 from .weyl_core import (
-    QQ,
-    QQ0,
     QQ1,
     IdealPresentation,
     NonHomogeneousInput,
@@ -162,21 +161,6 @@ def homogenize_w(P):
     return WeylOperator(out_sig, out)
 
 
-def _falling_factor(j, offset):
-    """Coefficient list of (-1)^j (s+offset+1)(s+offset+2)...(s+offset+j)."""
-    coeffs = [QQ1]
-    for i in range(1, j + 1):
-        root = QQ(offset + i)
-        nxt = [QQ0] * (len(coeffs) + 1)
-        for e, c in enumerate(coeffs):
-            nxt[e] += c * root
-            nxt[e + 1] += c
-        coeffs = nxt
-    if j % 2:
-        coeffs = [-c for c in coeffs]
-    return coeffs
-
-
 def psi_dehomogenize(P):
     """Factor a weight-homogeneous P in D_{n+1} as S * P'(-dt t).
 
@@ -202,14 +186,12 @@ def psi_dehomogenize(P):
     n = sig.n_x
     res = {}
     for m, c in P.exponent_terms().items():
-        j = min(m[ts], m[dts])
-        offset = 0 if m_w <= 0 else nu
-        poly = _falling_factor(j, offset)
+        poly = UPoly.signed_rising(0 if m_w <= 0 else nu, min(m[ts], m[dts]))
         base = [0] * sig_s.nslots
         for i in range(n):
             base[i] = m[i]
             base[n + i] = m[sig.d_slot(i)]
-        for e, coeff in enumerate(poly):
+        for e, coeff in enumerate(poly.c):
             if not coeff:
                 continue
             base[s_slot] = e
@@ -228,7 +210,7 @@ def ann_fs(inst, deadline=None):
     J2 = eliminate(Jp, ("sigma", "tau_h"), deadline=deadline, stage="sigma-tau-elimination")
     row = _weight_row(J2.sig)
     gens = []
-    for g in J2.cached_gb:
+    for g in J2.basis():
         if not g.is_weight_homogeneous(row):
             raise NonHomogeneousInput(
                 "internal error: element of J'' is not weight-homogeneous")

@@ -53,10 +53,6 @@ class BFunction:
         roots, rest = p.rational_roots()
         return cls(p, tuple(roots), rest)
 
-    def recompose(self):
-        out = UPoly.from_roots([r for r, m in self.rational_roots for _ in range(m)])
-        return (out * self.nonrational_part).monic()
-
     def multiplicity(self, root):
         root = QQ(root)
         for r, m in self.rational_roots:
@@ -105,12 +101,12 @@ class FunctionalEquation:
     P0: WeylOperator
     shift: int = 1
 
-    def check(self, ann, f):
+    def check(self, ann, f, deadline=None):
         """P0 * f^shift - b(s) must lie in the annihilator ideal."""
         sig_s = self.P0.sig
         fs = f.embed(sig_s) if f.sig != sig_s else f
         lhs = self.P0 * fs ** self.shift - self.b.as_operator(sig_s)
-        return ann.contains(lhs)
+        return ann.contains(lhs, deadline)
 
 
 def bfunction(ann, f, deadline=None):
@@ -138,7 +134,7 @@ def functional_operator(ann, f, b, deadline=None):
     if cof is None:
         raise NotInIdeal("b(s) is not in ann + D_n[s] f")
     eqn = FunctionalEquation(b, cof[-1], 1)
-    if not eqn.check(ann, fs):
+    if not eqn.check(ann, fs, deadline):
         raise AssertionError("internal error: functional equation fails its invariant")
     return eqn
 

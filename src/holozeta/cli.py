@@ -4,9 +4,9 @@ Commands: ann-fs, bfun, funceq, laurent, zeta-diff, verify.  Problem files
 are declarative "key: value" documents; all results are emitted as canonical
 strings (print/parse round trips exactly) plus an optional JSON document.
 Exit codes: 0 success, 2 timeout (one --timeout deadline covers the whole
-command), 3 input error (syntax, exponents above MAX_EXPONENT, the problem
-instance or Laurent request checks), 4 internal failure; a failure prints one
-line on stderr, no traceback.
+command), 3 input error (usage, syntax, exponents above MAX_EXPONENT, the
+problem instance or Laurent request checks), 4 internal failure; a failure
+prints one line on stderr, no traceback.
 """
 from __future__ import annotations
 
@@ -308,10 +308,9 @@ def _parse_rational(text, line=None):
 # result documents
 # ---------------------------------------------------------------------------
 
-def _canonical_strings(ideal):
+def _canonical_strings(ideal, deadline):
     order = TermOrder.grevlex(ideal.sig)
-    gens = ideal.basis()
-    return [g.to_str(order) for g in gens]
+    return [g.to_str(order) for g in ideal.basis(deadline=deadline)]
 
 
 def _emit(doc, args, wall):
@@ -323,7 +322,7 @@ def _emit(doc, args, wall):
         "basis_size": stats.basis_size,
     }
     doc["version"] = __version__
-    if getattr(args, "timings", False):
+    if args.timings:
         doc["timing"] = {"total_s": round(wall, 3)}
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -348,7 +347,7 @@ def _run_ann_fs(args, prob):
     inst = prob.instance(strict=False)
     ann = ann_fs(inst, deadline=args.deadline)
     doc = {"command": "ann-fs", "stage": "ann-fs",
-           "generators": _canonical_strings(ann)}
+           "generators": _canonical_strings(ann, args.deadline)}
     if not prob.assume_saturated:
         doc["note"] = ("assume_saturated is false: the generators annihilate "
                        "f^s (x) u for the f-saturation of D_n/I")
@@ -386,7 +385,7 @@ def _run_laurent(args, prob):
             "lambda0": str(QQ(lambda0)), "k": int(k),
             "pole_order_bound": system.l, "shift_m": system.m,
             "b": system.b.factored_str(),
-            "generators": _canonical_strings(system.ann_w)}
+            "generators": _canonical_strings(system.ann_w, args.deadline)}
 
 
 def _run_zeta_diff(args, prob):
@@ -402,9 +401,8 @@ def _run_zeta_diff(args, prob):
 def _run_verify(args, prob):
     inst = prob.instance()
     ann = ann_fs(inst, deadline=args.deadline)
-    section = LogSection.fs(inst)
-    ann = ann.groebner(deadline=args.deadline)     # its basis also serves the check of P0
-    sound = all(annihilates(g, section) for g in ann.cached_gb)
+    section = LogSection.fs(inst, deadline=args.deadline)
+    sound = all(annihilates(g, section) for g in ann.basis(deadline=args.deadline))
     b = bfunction(ann, inst.f, deadline=args.deadline)
     eqn = functional_operator(ann, inst.f, b, deadline=args.deadline)
     lhs = apply_log_section(eqn.P0, apply_log_section(inst.f, section))
@@ -436,8 +434,15 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError instead of exiting with 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="holozeta",
         description="Exact D-module computations for f_+^lambda phi and local zeta functions")
     ap.add_argument("--version", action="version", version=f"holozeta {__version__}")
@@ -450,20 +455,25 @@ def build_parser():
                        help="include wall-clock timing in the JSON document")
         p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                        help="wall clock limit for the whole command")
-        p.add_argument("--lambda0", type=str, default=None,
-                       help="expansion point (rational p/q)")
-        p.add_argument("--k", type=int, default=None, help="Laurent index")
-        p.add_argument("--box", type=float, default=12.0,
-                       help="quadrature box half-width")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="numeric residual tolerance")
+        if name == "laurent":
+            p.add_argument("--lambda0", type=str, default=None,
+                           help="expansion point (rational p/q)")
+            p.add_argument("--k", type=int, default=None, help="Laurent index")
+        if name == "verify":
+            p.add_argument("--box", type=float, default=12.0,
+                           help="quadrature box half-width")
+            p.add_argument("--tol", type=float, default=1e-6,
+                           help="numeric residual tolerance")
     return ap
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.lambda0 is not None:
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 3
+    if getattr(args, "lambda0", None) is not None:
         try:
             args.lambda0 = _parse_rational(args.lambda0)
         except ValueError as exc:

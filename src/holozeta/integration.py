@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .annihilator import build_malgrange
 from .upoly import UPoly
 from .weyl_core import (
-    QQ,
     QQ1,
     IdealPresentation,
     SignatureMismatch,
@@ -44,10 +43,9 @@ def fourier_transform(ideal):
 
     A ring automorphism of D_{n+1}; applying it four times is the identity.
     """
-    sig = ideal.sig if isinstance(ideal, IdealPresentation) else ideal.sig
     if isinstance(ideal, WeylOperator):
         return _fourier_op(ideal)
-    return IdealPresentation.make(sig, [_fourier_op(g) for g in ideal.generators])
+    return IdealPresentation.make(ideal.sig, [_fourier_op(g) for g in ideal.generators])
 
 
 def _fourier_op(op):
@@ -101,11 +99,9 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     hsig = sig.homogenize()
     row = _w_row(hsig)
     order = TermOrder(hsig, blocks=[tuple(range(hsig.nslots))], weight_rows=[row])
-    pre = ideal.groebner(deadline=deadline, stage=stage + "-prereduce")
-    gens = [_bernstein_homogenize(g, hsig) for g in pre.cached_gb]
-    hideal = IdealPresentation.make(hsig, gens)
-    gb = hideal.groebner(order, deadline, stage)
-    dehomogenized = (g.subs_extra("h", 1, sig) for g in gb.cached_gb)
+    pre = ideal.basis(deadline=deadline, stage=stage + "-prereduce")
+    hideal = IdealPresentation.make(hsig, [_bernstein_homogenize(g, hsig) for g in pre])
+    dehomogenized = (g.subs_extra("h", 1, sig) for g in hideal.basis(order, deadline, stage))
     return [g for g in dehomogenized if g]
 
 
@@ -204,7 +200,7 @@ def integration_ideal(ideal, deadline=None):
     sig1 = d_1()
     if rd.k0 is None:
         one = WeylOperator.one(sig1)
-        return IdealPresentation(sig1, (one,), (one,), TermOrder.grevlex(sig1))
+        return IdealPresentation(sig1, (one,), (one,))
     comp = rd.basis.index((0,) * ideal.sig.n_x)
     return component_zero_ideal(rd.relations, comp, deadline=deadline,
                                 stage="integration-colon")
@@ -231,10 +227,6 @@ class DifferenceOperator:
                 p = p if isinstance(p, UPoly) else UPoly((p,))
                 if p:
                     self.coeffs[k] = p
-
-    @classmethod
-    def from_poly(cls, p, power=0):
-        return cls({power: p})
 
     @classmethod
     def shift(cls, k=1):
@@ -292,9 +284,6 @@ class DifferenceOperator:
             cont = -cont
         return DifferenceOperator({i: p * (QQ1 / cont) for i, p in shifted.items()})
 
-    def is_normalized(self):
-        return self == self.normalized()
-
     def to_str(self):
         if not self.coeffs:
             return "0"
@@ -331,12 +320,7 @@ def mellin_raw(op):
     for m, c in op.exponent_terms().items():
         a, b = m[ts], m[dts]
         # E^a (-s E^-1)^b = (-1)^b (s+a)(s+a-1)...(s+a-b+1) E^(a-b)
-        poly = UPoly.one()
-        for i in range(b):
-            poly = poly * UPoly((QQ(a - i), 1))
-        if b % 2:
-            poly = -poly
-        out = out + DifferenceOperator({a - b: poly * c})
+        out = out + DifferenceOperator({a - b: UPoly.signed_rising(a - b, b) * c})
     return out
 
 
@@ -356,7 +340,7 @@ def zeta_difference(inst, deadline=None):
 
 
 # ---------------------------------------------------------------------------
-# skew Euclidean layer over Q(s) for membership tests and display, done
+# skew Euclidean layer over Q(s) for the gcrd of the difference operators, done
 # fraction-free: primitive pseudo-remainder sequences keep the coefficients
 # as integer-content-1 polynomials instead of deep Q(s) gcd chains
 # ---------------------------------------------------------------------------
@@ -421,11 +405,3 @@ def difference_gcrd(ops):
             a, b = b, _pseudo_right_rem(a, b)
         cur = a
     return DifferenceOperator({i: c for i, c in enumerate(cur)}).normalized()
-
-
-def difference_member(op, gens):
-    """Is op in the left Q(s)<E, E^{-1}>-ideal generated by gens?"""
-    g = difference_gcrd(gens)
-    if g.is_zero():
-        return op.is_zero()
-    return not _pseudo_right_rem(_to_poly_list(op), _to_poly_list(g))

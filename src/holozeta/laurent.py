@@ -56,9 +56,6 @@ class LaurentSystem:
     Jk_sub: SubmodulePresentation
     ann_w: IdealPresentation
 
-    def check_factorization(self):
-        return self.c * UPoly.x() ** self.l == self.b.poly.shift(self.lambda0) and self.c[0] != 0
-
 
 def laurent_operators(P, c, l, k):
     """The operators Q_k0, ..., Q_k(l+k) of the Laurent expansion.

@@ -19,7 +19,6 @@ from .weyl_core import (
     QQ,
     IdealPresentation,
     SignatureMismatch,
-    TermOrder,
     WeylOperator,
     add_term,
 )
@@ -50,12 +49,6 @@ def _comm_poly_div(num, den):
     return quot
 
 
-def _gb_of_I(inst, sig):
-    """Groebner basis of I inside the given signature (s rides along freely)."""
-    gens = [g.embed(sig) for g in inst.I_gens]
-    return IdealPresentation.make(sig, gens).groebner(TermOrder.grevlex(sig))
-
-
 class LogSection:
     """Exact section of the log tower over M = D_n/I.
 
@@ -65,12 +58,14 @@ class LogSection:
     op lives in D_n[s], in numeric mode in D_n.
     """
 
-    def __init__(self, inst, entries=None, symbolic=True, a=None):
+    def __init__(self, inst, entries=None, symbolic=True, a=None, deadline=None):
         self.inst = inst
         self.symbolic = symbolic
         self.a = None if symbolic else QQ(a)
         self.sig = inst.sig_s if symbolic else inst.sig
-        self._gb = _gb_of_I(inst, self.sig)
+        # I inside this signature (s rides along freely), with its basis
+        self._gb = IdealPresentation.make(self.sig, [g.embed(self.sig) for g in inst.I_gens])
+        self._gb.basis(deadline=deadline)
         self.entries = {}
         if entries:
             for j, (op, fpow) in entries.items():
@@ -78,9 +73,9 @@ class LogSection:
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def fs(cls, inst, j=0, mult=None, symbolic=True, a=None):
+    def fs(cls, inst, j=0, mult=None, symbolic=True, a=None, deadline=None):
         """The section f^e (log f)^j (x) (mult * u); mult defaults to 1."""
-        sec = cls(inst, symbolic=symbolic, a=a)
+        sec = cls(inst, symbolic=symbolic, a=a, deadline=deadline)
         op = WeylOperator.one(sec.sig) if mult is None else mult.embed(sec.sig)
         sec._put(j, op, 0)
         return sec

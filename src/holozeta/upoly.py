@@ -41,6 +41,12 @@ class UPoly:
             p = p * cls((-QQ(r), 1))
         return p
 
+    @classmethod
+    def signed_rising(cls, c, j):
+        """(-1)^j (s+c+1)(s+c+2)...(s+c+j) for integers c and j >= 0."""
+        p = cls.from_roots(range(-c - j, -c))
+        return -p if j % 2 else p
+
     # -- basics ----------------------------------------------------------------
     @property
     def degree(self):
@@ -169,20 +175,7 @@ class UPoly:
             out = out + UPoly(row)
         return out
 
-    def deriv(self):
-        return UPoly([self.c[i] * i for i in range(1, len(self.c))])
-
     # -- root bookkeeping --------------------------------------------------------
-    def root_multiplicity(self, r):
-        r = QQ(r)
-        m = 0
-        p = self
-        lin = UPoly((-r, 1))
-        while p and not p.eval(r):
-            p = p.exact_div(lin)
-            m += 1
-        return m
-
     def rational_roots(self):
         """All rational roots with multiplicities, plus the rootless cofactor.
 

@@ -27,7 +27,6 @@ import operator
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 try:
     from gmpy2 import mpq as QQ
@@ -466,11 +465,6 @@ class WeylOperator:
         pk = self.sig._pk
         return max((_pdeg(pk, m) for m in self.terms), default=-1)
 
-    def order(self):
-        """Max total degree in the d-type slots (dx's and dt)."""
-        slots = [ds for _xs, ds in self.sig.pairs]
-        return max((sum(m[i] for i in slots) for m in self.exponent_terms()), default=-1)
-
     def _weighted(self, row):
         pk = self.sig._pk
         return {m: sum(w * e for w, e in zip(row, _unpack(pk, m))) for m in self.terms}
@@ -498,7 +492,7 @@ class WeylOperator:
         return any((m >> sh) & 0x7FFF for m in self.terms)
 
     def _lead(self, order):
-        return max(self.terms, key=_make_keyf(ModuleOrder(order), self.sig._pk))
+        return max(self.terms, key=_make_keyf(order, self.sig._pk))
 
     def lm(self, order):
         return _unpack(self.sig._pk, self._lead(order))
@@ -508,7 +502,7 @@ class WeylOperator:
 
     def sorted_terms(self, order):
         pk = self.sig._pk
-        keyf = _make_keyf(ModuleOrder(order), pk)
+        keyf = _make_keyf(order, pk)
         return [(_unpack(pk, m), self.terms[m])
                 for m in sorted(self.terms, key=keyf, reverse=True)]
 
@@ -588,10 +582,6 @@ class WeylOperator:
                             {m[:i] + m[i + 1:]: c for m, c in self.exponent_terms().items()
                              if m[i] == e})
 
-    def max_extra_degree(self, name):
-        sh = self.sig._pk.shifts[self.sig.slot(name)]
-        return max(((m >> sh) & 0x7FFF for m in self.terms), default=-1)
-
     def eval_point(self, values):
         """Evaluate a commutative operator (no d-slots) at a point.
 
@@ -645,15 +635,19 @@ class WeylOperator:
 # ---------------------------------------------------------------------------
 
 class TermOrder:
-    """Weight rows compared first, then block-wise graded reverse lex.
+    """Weight rows compared first, then block-wise graded reverse lex, on
+    monomials; on labelled monomials of a free module, also the component.
 
     blocks is an ordered cover of the slots; slots missing from the given
     blocks are appended as a final block.  Orders with a negative entry in
     some weight row are only admissible on weight-homogeneous input; the
-    Groebner driver enforces this.
+    Groebner driver enforces this.  position "tp" = term over position, "pt"
+    = position over term; between components the lower index is the larger.
+    top_comps, when given with "pt", lists components that dominate all
+    others (used for component elimination).
     """
 
-    def __init__(self, sig, blocks=None, weight_rows=()):
+    def __init__(self, sig, blocks=None, weight_rows=(), position="tp", top_comps=None):
         self.sig = sig
         rows = []
         for row in weight_rows:
@@ -675,6 +669,8 @@ class TermOrder:
         if rest:
             blk.append(rest)
         self.blocks = tuple(blk)
+        self.position = position
+        self.top_comps = frozenset(top_comps) if top_comps is not None else None
 
     @classmethod
     def grevlex(cls, sig):
@@ -689,38 +685,14 @@ class TermOrder:
     def has_negative_row(self):
         return any(w < 0 for row in self.weight_rows for w in row)
 
-    def __eq__(self, other):
-        return (isinstance(other, TermOrder) and self.sig == other.sig
-                and self.weight_rows == other.weight_rows and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.sig, self.weight_rows, self.blocks))
-
-
-class ModuleOrder:
-    """Extension of a TermOrder to labelled packed monomials.
-
-    position "tp" = term over position, "pt" = position over term; between
-    components the lower index is the larger.  top_comps, when given with "pt",
-    lists components that dominate all others (used for component
-    elimination).  Monomials compare by the integer key of _make_keyf.
-    """
-
-    def __init__(self, term_order, position="tp", top_comps=None):
-        self.term_order = term_order
-        self.position = position
-        self.top_comps = frozenset(top_comps) if top_comps is not None else None
+    def _fields(self):
+        return (self.sig, self.weight_rows, self.blocks, self.position, self.top_comps)
 
     def __eq__(self, other):
-        return (isinstance(other, ModuleOrder) and self.term_order == other.term_order
-                and self.position == other.position and self.top_comps == other.top_comps)
+        return isinstance(other, TermOrder) and self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.term_order, self.position, self.top_comps))
-
-    @property
-    def has_negative_row(self):
-        return self.term_order.has_negative_row
+        return hash(self._fields())
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +739,7 @@ class _Reducers:
 
     @classmethod
     def of(cls, order, pk, basis):
-        """The reducers of rational labelled term dicts under a ModuleOrder."""
+        """The reducers of rational labelled term dicts under a TermOrder."""
         keyf = _make_keyf(order, pk)
         out = cls(keyf, pk)
         for terms in basis:
@@ -866,14 +838,13 @@ def _check_weight_admissibility(gens, order, pk):
     weight-homogeneity with respect to every negative row.  Either keeps the
     division loop inside finite graded pieces, which restores termination.
     """
-    term_order = order.term_order
-    if not term_order.has_negative_row:
+    if not order.has_negative_row:
         return
     for g in gens:
         exps = [_unpack(pk, lab) for lab in g]
         if len({sum(m) for m in exps}) <= 1:
             continue
-        for row in term_order.weight_rows:
+        for row in order.weight_rows:
             if all(w >= 0 for w in row):
                 continue
             ws = {sum(w * e for w, e in zip(row, m)) for m in exps}
@@ -887,7 +858,7 @@ _COMP_BITS = 32
 
 
 def _make_keyf(order, pk):
-    """Integer key of labelled packed monomials under a ModuleOrder.
+    """Integer key of labelled packed monomials under a TermOrder.
 
     Each entry of the TermOrder (a weight row's weight, then per block its
     degree and its exponents from the last slot back, negated) is a linear
@@ -896,12 +867,11 @@ def _make_keyf(order, pk):
     entries compare like the integer, which is therefore sum_i e_i * w_i for
     one weight w_i per slot.  The component takes one more digit of
     _COMP_BITS bits, last ("tp") or first ("pt"); integer keys compare
-    exactly as the ModuleOrder does.
+    exactly as the TermOrder does.
     """
-    term_order = order.term_order
     n = len(pk.shifts)
-    rows = [tuple(r) for r in term_order.weight_rows]
-    for blk in term_order.blocks:
+    rows = [tuple(r) for r in order.weight_rows]
+    for blk in order.blocks:
         rows.append(tuple(int(i in blk) for i in range(n)))
         rows.extend(tuple(-int(i == k) for i in range(n)) for k in reversed(blk))
     bits = (2 * MAX_EXPONENT * max((sum(map(abs, r)) for r in rows), default=0)
@@ -931,7 +901,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     """Reduced monic left Groebner basis of labelled term dicts.
 
     Input and output dicts map labelled packed monomials (the component in
-    the bits above the slots) to rational coefficients, under a ModuleOrder;
+    the bits above the slots) to rational coefficients, under a TermOrder;
     an operator's term dict is a rank-1 input.  Inside, basis elements are
     primitive integer dicts: the S-polynomial of f and g is
     (lc g/d) x^a f - (lc f/d) x^b g with d = gcd(lc f, lc g), and each new
@@ -1060,71 +1030,73 @@ def normal_form(p, gens, order=None):
     for g in gens:
         if g.sig != sig:
             raise SignatureMismatch("normal_form operands differ in signature")
-    reducers = _Reducers.of(ModuleOrder(order or TermOrder.grevlex(sig)), sig._pk,
+    reducers = _Reducers.of(order or TermOrder.grevlex(sig), sig._pk,
                             [g.terms for g in gens])
     return WeylOperator._of(sig, reducers.remainder(p.terms))
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
-    """Left ideal given by generators, with an optional cached reduced GB;
-    immutable, with the division reducers of that basis built once."""
+class _Presentation:
+    """Generators of a left ideal or submodule and, per TermOrder, their
+    reduced Groebner basis: computed on first use, or seeded with a known
+    grevlex basis.  Every normal form is taken against the grevlex basis,
+    whose division reducers are built once.  A subclass says how an element
+    becomes a labelled term dict (_terms) and back (_of)."""
 
-    sig: RingSignature
-    generators: tuple
-    cached_gb: tuple = None
-    cached_order: TermOrder = None
+    def __init__(self, sig, generators, grevlex_basis=None):
+        self.sig = sig
+        self.generators = tuple(generators)
+        self._bases = {}
+        self._reducers = None
+        if grevlex_basis is not None:
+            self._bases[TermOrder.grevlex(sig)] = tuple(grevlex_basis)
+
+    def basis(self, order=None, deadline=None, stage="groebner"):
+        """The reduced Groebner basis under order (grevlex by default)."""
+        order = order or TermOrder.grevlex(self.sig)
+        if order not in self._bases:
+            gb = groebner_engine([self._terms(g) for g in self.generators],
+                                 self.sig, order, deadline, stage)
+            self._bases[order] = tuple(self._of(t) for t in gb)
+        return self._bases[order]
+
+    def reducers(self, deadline=None, stage="groebner"):
+        """The division reducers of the grevlex basis."""
+        if self._reducers is None:
+            order = TermOrder.grevlex(self.sig)
+            self._reducers = _Reducers.of(order, self.sig._pk, [
+                self._terms(g) for g in self.basis(order, deadline, stage)])
+        return self._reducers
+
+    def contains(self, element, deadline=None):
+        return not self.reducers(deadline).remainder(self._terms(element))
+
+
+class IdealPresentation(_Presentation):
+    """Left ideal given by operator generators."""
 
     @classmethod
     def make(cls, sig, gens):
-        return cls(sig, tuple(gens))
+        return cls(sig, gens)
 
-    def groebner(self, order=None, deadline=None, stage="groebner"):
-        order = order or TermOrder.grevlex(self.sig)
-        if self.cached_gb is not None and self.cached_order == order:
-            return self
-        basis = groebner_engine([g.terms for g in self.generators],
-                                self.sig, ModuleOrder(order), deadline, stage)
-        ops = tuple(WeylOperator._of(self.sig, b) for b in basis)
-        return IdealPresentation(self.sig, self.generators, ops, order)
+    def _terms(self, op):
+        if op.sig != self.sig:
+            raise SignatureMismatch("operands differ in signature")
+        return op.terms
 
-    def basis(self, order=None, deadline=None, stage="groebner"):
-        return self.groebner(order, deadline, stage).cached_gb
-
-    @cached_property
-    def _reducers(self):
-        return _Reducers.of(ModuleOrder(self.cached_order), self.sig._pk,
-                            [g.terms for g in self.cached_gb])
+    def _of(self, terms):
+        return WeylOperator._of(self.sig, terms)
 
     def normal_form(self, p):
-        """The remainder of p modulo the cached basis (grevlex if none)."""
-        if p.sig != self.sig:
-            raise SignatureMismatch("normal_form operands differ in signature")
-        gb = self.groebner(self.cached_order)
-        return WeylOperator._of(self.sig, gb._reducers.remainder(p.terms))
-
-    def contains(self, p):
-        return self.normal_form(p).is_zero()
-
-    def is_unit(self):
-        gb = self.basis()
-        return len(gb) == 1 and gb[0] == WeylOperator.one(self.sig)
-
-    def same_ideal(self, other, order=None):
-        order = order or TermOrder.grevlex(self.sig)
-        return self.groebner(order).cached_gb == other.groebner(order).cached_gb
+        """The remainder of p modulo the grevlex basis."""
+        return self._of(self.reducers().remainder(self._terms(p)))
 
 
-@dataclass(frozen=True)
-class SubmodulePresentation:
-    """Left submodule of D^rank given by generating vectors of operators;
-    immutable, with the division reducers of a cached basis built once."""
+class SubmodulePresentation(_Presentation):
+    """Left submodule of D^rank given by generating vectors of operators."""
 
-    rank: int
-    sig: RingSignature
-    generators: tuple          # tuple of length-rank tuples of WeylOperator
-    cached_gb: tuple = None
-    cached_order: ModuleOrder = None
+    def __init__(self, rank, sig, generators, grevlex_basis=None):
+        self.rank = rank
+        super().__init__(sig, generators, grevlex_basis)
 
     @classmethod
     def make(cls, rank, sig, gens):
@@ -1134,24 +1106,11 @@ class SubmodulePresentation:
                 raise ValueError(f"generator vector of length {len(v)} != rank {rank}")
         return cls(rank, sig, gens)
 
-    def groebner(self, order=None, deadline=None, stage="module-groebner"):
-        order = order or ModuleOrder(TermOrder.grevlex(self.sig))
-        if self.cached_gb is not None and self.cached_order == order:
-            return self
-        pk = self.sig._pk
-        basis = groebner_engine([_join(pk, v) for v in self.generators],
-                                self.sig, order, deadline, stage)
-        vecs = tuple(_split(pk, b, self.sig, self.rank) for b in basis)
-        return SubmodulePresentation(self.rank, self.sig, self.generators, vecs, order)
+    def _terms(self, vec):
+        return _join(self.sig._pk, vec)
 
-    @cached_property
-    def _reducers(self):
-        pk = self.sig._pk
-        return _Reducers.of(self.cached_order, pk, [_join(pk, v) for v in self.cached_gb])
-
-    def contains(self, vec, order=None):
-        gb = self.groebner(order or self.cached_order)
-        return not gb._reducers.remainder(_join(self.sig._pk, vec))
+    def _of(self, terms):
+        return _split(self.sig._pk, terms, self.sig, self.rank)
 
 
 def eliminate(ideal, kill, deadline=None, stage="elimination"):
@@ -1161,14 +1120,12 @@ def eliminate(ideal, kill, deadline=None, stage="elimination"):
     the result lives in the reduced signature.
     """
     kill = tuple(kill)
-    order = TermOrder.elimination(ideal.sig, kill)
-    gb = ideal.groebner(order, deadline, stage)
+    gb = ideal.basis(TermOrder.elimination(ideal.sig, kill), deadline, stage)
     slots = [ideal.sig.slot(n) for n in kill]
     new_sig = ideal.sig.without_extras(*kill)
-    kept = [g.strip_slots(kill, new_sig) for g in gb.cached_gb
-            if not any(g.uses_slot(i) for i in slots)]
-    inner = TermOrder.grevlex(new_sig)
-    return IdealPresentation(new_sig, tuple(kept), tuple(kept), inner)
+    kept = tuple(g.strip_slots(kill, new_sig) for g in gb
+                 if not any(g.uses_slot(i) for i in slots))
+    return IdealPresentation(new_sig, kept, kept)
 
 
 def colon_kernel(vec, module, deadline=None, stage="colon"):
@@ -1190,10 +1147,10 @@ def component_zero_ideal(module, comp=0, deadline=None, stage="component-colon")
     its rows with only component comp are the ideal's reduced grevlex basis."""
     sig = module.sig
     others = [c for c in range(module.rank) if c != comp]
-    order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=others)
-    gb = module.groebner(order, deadline, stage)
-    gens = tuple(v[comp] for v in gb.cached_gb if all(v[c].is_zero() for c in others))
-    return IdealPresentation(sig, gens, gens, TermOrder.grevlex(sig))
+    order = TermOrder(sig, position="pt", top_comps=others)
+    gens = tuple(v[comp] for v in module.basis(order, deadline, stage)
+                 if all(v[c].is_zero() for c in others))
+    return IdealPresentation(sig, gens, gens)
 
 
 def represent(p, gens, deadline=None, stage="represent"):
@@ -1208,7 +1165,7 @@ def represent(p, gens, deadline=None, stage="represent"):
     pk = sig._pk
     k = len(gens)
     aug = [{**g.terms, (1 + i) << pk.cshift: QQ1} for i, g in enumerate(gens)]
-    order = ModuleOrder(TermOrder.grevlex(sig), position="pt", top_comps=[0])
+    order = TermOrder(sig, position="pt", top_comps=[0])
     basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
     # component 0 sits above the others: an element is front-headed iff it
     # has a term there
@@ -1242,7 +1199,7 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
     from .upoly import UPoly
     sig = ideal.sig
     pk = sig._pk
-    reducers = ideal.groebner(TermOrder.grevlex(sig), deadline, stage)._reducers
+    reducers = ideal.reducers(deadline, stage)
     lms = [r.lm for r in reducers.reds]
     if 0 in lms:
         return UPoly.one()

@@ -5,7 +5,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from holozeta import ProblemInstance, WeylOperator, d_n
+from holozeta import ProblemInstance, UPoly, WeylOperator, d_n, difference_gcrd
 
 
 def gens(sig, *names):
@@ -94,3 +94,42 @@ def reducer_builds(monkeypatch):
 
 def run_slow():
     return os.environ.get("HOLOZETA_SLOW", "") not in ("", "0")
+
+
+# ---------------------------------------------------------------------------
+# checks that only the tests need
+# ---------------------------------------------------------------------------
+
+def same_ideal(a, b):
+    """Two ideal presentations with the same reduced grevlex basis."""
+    return a.basis() == b.basis()
+
+
+def is_unit(ideal):
+    return ideal.basis() == (WeylOperator.one(ideal.sig),)
+
+
+def max_extra_degree(op, name):
+    """The degree of an operator in a central extra; -1 for 0."""
+    i = op.sig.slot(name)
+    return max((m[i] for m in op.exponent_terms()), default=-1)
+
+
+def deriv(p):
+    """The derivative of a UPoly."""
+    return UPoly([p.c[i] * i for i in range(1, len(p.c))])
+
+
+def recompose(b):
+    """A BFunction's polynomial, rebuilt from its factorization."""
+    out = UPoly.from_roots([r for r, m in b.rational_roots for _ in range(m)])
+    return (out * b.nonrational_part).monic()
+
+
+def difference_member(op, gens):
+    """Is op in the left Q(s)<E, E^{-1}>-ideal generated by gens?"""
+    from holozeta.integration import _pseudo_right_rem, _to_poly_list
+    g = difference_gcrd(gens)
+    if g.is_zero():
+        return op.is_zero()
+    return not _pseudo_right_rem(_to_poly_list(op), _to_poly_list(g))

@@ -170,6 +170,62 @@ def test_run_timeout_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bfun", prob("cusp.prob"), "--timeout", "abc"],
+    ["laurent", prob("cusp.prob"), "--lambda0=-5/6", "--k", "x"],
+    ["bfun", prob("cusp.prob"), "--box", "3"],              # verify's flags only
+    ["verify", prob("cusp.prob"), "--lambda0=-5/6"],        # laurent's flags only
+    ["zeta-diff", prob("gamma.prob"), "--k=1"],
+    ["ann-fs"],
+    ["nosuch", prob("cusp.prob")],
+], ids=["timeout", "k", "box-on-bfun", "lambda0-on-verify", "k-on-zeta-diff",
+        "no-problem", "no-command"])
+def test_run_usage_error_is_input_error(argv, capsys):
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: holozeta")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bfun", "--help"]])
+def test_run_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    from holozeta.cli import _COMMANDS, build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {name: {opt for a in p._actions for opt in a.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in sub.choices.items()}
+    common = {"--json", "--timings", "--timeout"}
+    assert set(flags) == set(_COMMANDS)
+    assert flags.pop("laurent") == common | {"--lambda0", "--k"}
+    assert flags.pop("verify") == common | {"--box", "--tol"}
+    assert all(f == common for f in flags.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["ann-fs", "cusp.prob"], ["bfun", "cusp.prob"], ["funceq", "cusp.prob"],
+    ["laurent", "cusp.prob", "--lambda0=-5/6", "--k=-1"], ["zeta-diff", "gamma.prob"],
+    ["verify", "cusp.prob"]], ids=lambda argv: argv[0])
+def test_timeout_reaches_every_engine_call(argv, monkeypatch, capsys):
+    from holozeta import weyl_core
+    deadlines, engine = [], weyl_core.groebner_engine
+
+    def spy(gens, sig, order, deadline=None, stage="groebner", pair_components=None):
+        deadlines.append((stage, deadline))
+        return engine(gens, sig, order, deadline, stage, pair_components)
+    monkeypatch.setattr(weyl_core, "groebner_engine", spy)
+    assert run([argv[0], prob(argv[1]), *argv[2:], "--timeout", "1000"]) == 0
+    capsys.readouterr()
+    assert deadlines and [stage for stage, d in deadlines if d is None] == []
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan"])
 def test_run_nonpositive_timeout_is_input_error(value, capsys):
     rc = run(["bfun", prob("cusp.prob"), f"--timeout={value}"])
