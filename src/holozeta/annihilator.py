@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 from .upoly import UPoly
 from .weyl_core import (
-    QQ1,
     IdealPresentation,
     NonHomogeneousInput,
     RingSignature,
     SignatureMismatch,
     WeylOperator,
-    add_term,
     d_n,
     d_n_s,
     d_np1,
@@ -58,7 +56,7 @@ class ProblemInstance:
             raise SignatureMismatch("annihilator generators must live in D_n")
         if not self.I_gens:
             raise ValueError("I_gens must be nonempty; use the dx_j for phi = 1")
-        if any(self.f.uses_slot(sig.d_slot(i)) for i in range(self.n)):
+        if any(self.f.uses_slot(sig.slot("d" + x)) for x in self.x_names):
             raise ValueError("f must be a commutative polynomial in the x's")
         if self.f.total_degree() < 1:
             raise ValueError("f must be non-constant")
@@ -93,12 +91,11 @@ def tau_substitute(P, f):
     sig = P.sig
     if f.sig != sig:
         raise SignatureMismatch("P and f must share the D_n signature")
-    n = sig.n_x
     sig_t = d_np1(sig.x_names)
     dt = WeylOperator.gen(sig_t, "dt")
-    subs = [WeylOperator.gen(sig_t, "d" + x) + f.x_derivative(i).embed(sig_t) * dt
-            for i, x in enumerate(sig.x_names)]
-    pows = [{0: WeylOperator.one(sig_t)} for _ in range(n)]
+    subs = [WeylOperator.gen(sig_t, "d" + x) + f.derivative(x).embed(sig_t) * dt
+            for x in sig.x_names]
+    pows = [{0: WeylOperator.one(sig_t)} for _ in subs]
 
     def power(i, e):
         cache = pows[i]
@@ -108,18 +105,8 @@ def tau_substitute(P, f):
         return cache[e]
 
     out = WeylOperator.zero(sig_t)
-    for m, c in P.exponent_terms().items():
-        term = WeylOperator.constant(sig_t, c)
-        mono = [0] * sig_t.nslots
-        has_x = False
-        for i, e in enumerate(m[:n]):
-            if e:
-                mono[i] = e
-                has_x = True
-        if has_x:
-            term = term * WeylOperator(sig_t, {tuple(mono): QQ1})
-        for i in range(n):
-            e = m[sig.d_slot(i)]
+    for a, term in P.coefficients(tuple("d" + x for x in sig.x_names), sig_t).items():
+        for i, e in enumerate(a):
             if e:
                 term = term * power(i, e)
         out = out + term
@@ -132,7 +119,7 @@ def build_malgrange(inst):
     t = WeylOperator.gen(sig_t, "t")
     gens = [tau_substitute(P, inst.f) for P in inst.I_gens]
     gens.append(t - inst.f.embed(sig_t))
-    return IdealPresentation.make(sig_t, gens)
+    return IdealPresentation(sig_t, gens)
 
 
 def homogenize_w(P):
@@ -143,22 +130,7 @@ def homogenize_w(P):
     """
     sig = P.sig
     out_sig = RingSignature(sig.x_names, True, sig.extras + ("sigma", "tau_h"))
-    row = _weight_row(sig)
-    tau_slot = out_sig.slot("tau_h")
-    terms = P.exponent_terms()
-    if not terms:
-        return WeylOperator.zero(out_sig)
-    weights = {m: sum(w * e for w, e in zip(row, m)) for m in terms}
-    dmin = min(weights.values())
-    emb = [out_sig.slot(n) for n in sig.names]
-    out = {}
-    for m, c in terms.items():
-        m2 = [0] * out_sig.nslots
-        for i, e in enumerate(m):
-            m2[emb[i]] = e
-        m2[tau_slot] = weights[m] - dmin
-        out[tuple(m2)] = c
-    return WeylOperator(out_sig, out)
+    return P.homogenize("tau_h", WEIGHT_TABLE, out_sig)
 
 
 def psi_dehomogenize(P):
@@ -181,22 +153,12 @@ def psi_dehomogenize(P):
             f"psi needs weight-homogeneous input, got weights {sorted(ws)}")
     (m_w,) = ws
     nu = abs(m_w)
-    ts, dts = sig.t_slot, sig.dt_slot
-    s_slot = sig_s.slot("s")
-    n = sig.n_x
-    res = {}
-    for m, c in P.exponent_terms().items():
-        poly = UPoly.signed_rising(0 if m_w <= 0 else nu, min(m[ts], m[dts]))
-        base = [0] * sig_s.nslots
-        for i in range(n):
-            base[i] = m[i]
-            base[n + i] = m[sig.d_slot(i)]
-        for e, coeff in enumerate(poly.c):
-            if not coeff:
-                continue
-            base[s_slot] = e
-            add_term(res, tuple(base), c * coeff)
-    return WeylOperator(sig_s, res), (nu if m_w <= 0 else -nu)
+    out = WeylOperator.zero(sig_s)
+    for (a, b), part in P.coefficients(("t", "dt"), sig_s).items():
+        poly = UPoly.signed_rising(0 if m_w <= 0 else nu, min(a, b))
+        out = out + WeylOperator(sig_s, {sig_s.mono({"s": e}): c
+                                         for e, c in enumerate(poly.c)}) * part
+    return out, (nu if m_w <= 0 else -nu)
 
 
 def ann_fs(inst, deadline=None):
@@ -206,7 +168,7 @@ def ann_fs(inst, deadline=None):
     sig_st = hom[0].sig
     sigma = WeylOperator.gen(sig_st, "sigma")
     tau = WeylOperator.gen(sig_st, "tau_h")
-    Jp = IdealPresentation.make(sig_st, hom + [WeylOperator.one(sig_st) - sigma * tau])
+    Jp = IdealPresentation(sig_st, hom + [WeylOperator.one(sig_st) - sigma * tau])
     J2 = eliminate(Jp, ("sigma", "tau_h"), deadline=deadline, stage="sigma-tau-elimination")
     row = _weight_row(J2.sig)
     gens = []
@@ -217,4 +179,4 @@ def ann_fs(inst, deadline=None):
         p, _shift = psi_dehomogenize(g)
         if p:
             gens.append(p)
-    return IdealPresentation.make(inst.sig_s, gens)
+    return IdealPresentation(inst.sig_s, gens)

@@ -66,7 +66,7 @@ class BFunction:
 
     def as_operator(self, sig):
         """Embed into D_n[s] (sig must carry the extra s)."""
-        return WeylOperator(sig, {sig.unit_mono("s", e): c for e, c in enumerate(self.poly.c)})
+        return WeylOperator(sig, {sig.mono({"s": e}): c for e, c in enumerate(self.poly.c)})
 
     def factored_str(self):
         """Integer-cleared factored display, e.g. (s+1)(6s+5)(6s+7).
@@ -104,16 +104,14 @@ class FunctionalEquation:
     def check(self, ann, f, deadline=None):
         """P0 * f^shift - b(s) must lie in the annihilator ideal."""
         sig_s = self.P0.sig
-        fs = f.embed(sig_s) if f.sig != sig_s else f
-        lhs = self.P0 * fs ** self.shift - self.b.as_operator(sig_s)
+        lhs = self.P0 * f.embed(sig_s) ** self.shift - self.b.as_operator(sig_s)
         return ann.contains(lhs, deadline)
 
 
 def bfunction(ann, f, deadline=None):
     """Monic generator of C[s] cap (ann + D_n[s] f)."""
     sig_s = ann.sig
-    fs = f.embed(sig_s) if f.sig != sig_s else f
-    ideal = IdealPresentation.make(sig_s, list(ann.generators) + [fs])
+    ideal = IdealPresentation(sig_s, list(ann.generators) + [f.embed(sig_s)])
     b = minimal_polynomial(WeylOperator.gen(sig_s, "s"), ideal, deadline,
                            stage="b-function-elimination")
     return BFunction.from_upoly(b)
@@ -127,7 +125,7 @@ def functional_operator(ann, f, b, deadline=None):
     of) the b-function.
     """
     sig_s = ann.sig
-    fs = f.embed(sig_s) if f.sig != sig_s else f
+    fs = f.embed(sig_s)
     gens = list(ann.generators) + [fs]
     target = b.as_operator(sig_s)
     cof = represent(target, gens, deadline=deadline, stage="functional-operator")

@@ -251,7 +251,9 @@ class ProblemFile:
         if not ann_field:
             raise InputError("missing 'annihilator'")
         lambda0, lambda0_line = take("lambda0")
-        k, _ = take("k")
+        k, k_line = take("k")
+        if k is not None and not _INTEGER.fullmatch(k):
+            raise InputError(f"not an integer: {k!r}", k_line)
         phi, phi_line = take("phi")
         if phi and phi not in PHI_FAMILIES:
             raise InputError(f"unknown phi family {phi!r}", phi_line)
@@ -290,6 +292,7 @@ class ProblemFile:
             raise InputError(str(exc)) from None
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 

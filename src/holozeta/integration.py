@@ -45,28 +45,20 @@ def fourier_transform(ideal):
     """
     if isinstance(ideal, WeylOperator):
         return _fourier_op(ideal)
-    return IdealPresentation.make(ideal.sig, [_fourier_op(g) for g in ideal.generators])
+    return IdealPresentation(ideal.sig, [_fourier_op(g) for g in ideal.generators])
 
 
 def _fourier_op(op):
+    """sum (-1)^|b| dx^a x^b rest over the terms x^a dx^b rest of op."""
     sig = op.sig
-    n = sig.n_x
+    xs = sig.x_names
+    dxs = tuple("d" + x for x in xs)
     out = WeylOperator.zero(sig)
-    for m, c in op.exponent_terms().items():
-        a = m[:n]                      # x exponents -> dx
-        b = m[n:2 * n]                 # dx exponents -> -x
-        rest = m[2 * n:]
-        sign = (-1) ** sum(b)
-        # dx^a * x^b needs normal ordering
-        left = [0] * sig.nslots
-        right = [0] * sig.nslots
-        for i in range(n):
-            left[sig.d_slot(i)] = a[i]
-            right[i] = b[i]
-        for j, e in enumerate(rest):
-            right[2 * n + j] = e
-        prod = WeylOperator(sig, {tuple(left): QQ1}) * WeylOperator(sig, {tuple(right): QQ1})
-        out = out + prod.scale(c * sign)
+    for a, part in op.coefficients(xs, sig).items():
+        dxa = WeylOperator(sig, {sig.mono(zip(dxs, a)): QQ1})
+        for b, rest in part.coefficients(dxs, sig).items():
+            xb = WeylOperator(sig, {sig.mono(zip(xs, b)): (-1) ** sum(b)})
+            out = out + dxa * xb * rest
     return out
 
 
@@ -74,18 +66,10 @@ def _fourier_op(op):
 # Bernstein homogenization and the w-adapted basis
 # ---------------------------------------------------------------------------
 
-def _bernstein_homogenize(op, hsig):
-    deg = op.total_degree()
-    return WeylOperator(hsig, {m + (deg - sum(m),): c for m, c in op.exponent_terms().items()})
-
-
 def _w_row(sig):
     """Restriction weight: x_j -> -1, dx_j -> +1, everything else 0."""
-    row = [0] * sig.nslots
-    for i in range(sig.n_x):
-        row[i] = -1
-        row[sig.d_slot(i)] = 1
-    return tuple(row)
+    w = {**dict.fromkeys(sig.x_names, -1), **{"d" + x: 1 for x in sig.x_names}}
+    return tuple(w.get(name, 0) for name in sig.names)
 
 
 def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
@@ -100,7 +84,8 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     row = _w_row(hsig)
     order = TermOrder(hsig, blocks=[tuple(range(hsig.nslots))], weight_rows=[row])
     pre = ideal.basis(deadline=deadline, stage=stage + "-prereduce")
-    hideal = IdealPresentation.make(hsig, [_bernstein_homogenize(g, hsig) for g in pre])
+    ones = dict.fromkeys(hsig.names, 1)
+    hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in pre])
     dehomogenized = (g.subs_extra("h", 1, sig) for g in hideal.basis(order, deadline, stage))
     return [g for g in dehomogenized if g]
 
@@ -130,7 +115,7 @@ def weight_bfunction(ideal, deadline=None, adapted=None):
     initials = [g.initial_form(row) for g in adapted]
     theta = sum((WeylOperator.gen(sig, x) * WeylOperator.gen(sig, "d" + x)
                  for x in sig.x_names), WeylOperator.zero(sig))
-    bw = minimal_polynomial(theta, IdealPresentation.make(sig, initials), deadline,
+    bw = minimal_polynomial(theta, IdealPresentation(sig, initials), deadline,
                             stage="theta-elimination")
     if not bw:
         raise NotHolonomic("weight b-function is zero: not holonomic along the restriction")
@@ -163,8 +148,9 @@ def restriction_data(ideal, deadline=None):
         return RestrictionData(bw, None, ((0,) * sig.n_x,), empty)
     basis = _dx_monomials(sig, k0)
     index = {b: i for i, b in enumerate(basis)}
-    n = sig.n_x
-    ts, dts = sig.t_slot, sig.dt_slot
+    xs = sig.x_names
+    dxs = tuple("d" + x for x in xs)
+    at_zero = (0,) * len(xs)
     relations = []
     for g in adapted:
         mg = g.max_weight(row)
@@ -172,19 +158,15 @@ def restriction_data(ideal, deadline=None):
         if budget < 0:
             continue
         for gamma in _dx_monomials(sig, budget):
-            mono = [0] * sig.nslots
-            for i in range(n):
-                mono[sig.d_slot(i)] = gamma[i]
-            shifted = WeylOperator(sig, {tuple(mono): QQ1}) * g
-            cols = [{} for _ in basis]
-            for m, c in shifted.exponent_terms().items():
-                if any(m[i] for i in range(n)):
-                    continue           # x * D_{n+1} dies at x = 0
-                beta = tuple(m[sig.d_slot(i)] for i in range(n))
-                add_term(cols[index[beta]], (m[ts], m[dts]), c)
-            vec = tuple(WeylOperator(sig1, col) for col in cols)
-            if any(vec):
-                relations.append(vec)
+            shifted = WeylOperator(sig, {sig.mono(zip(dxs, gamma)): QQ1}) * g
+            cols = [WeylOperator.zero(sig1)] * len(basis)
+            # x * D_{n+1} dies at x = 0: only the x-free group survives
+            survivor = shifted.coefficients(xs, sig).get(at_zero)
+            if survivor is not None:
+                for beta, col in survivor.coefficients(dxs, sig1).items():
+                    cols[index[beta]] = col
+            if any(cols):
+                relations.append(tuple(cols))
     module = SubmodulePresentation.make(len(basis), sig1, relations)
     return RestrictionData(bw, k0, basis, module)
 
@@ -315,7 +297,7 @@ def mellin_raw(op):
     sig = op.sig
     if sig.n_x != 0 or not sig.has_t:
         raise SignatureMismatch("mellin transform expects a D_1 operator")
-    ts, dts = sig.t_slot, sig.dt_slot
+    ts, dts = sig.slot("t"), sig.slot("dt")
     out = DifferenceOperator()
     for m, c in op.exponent_terms().items():
         a, b = m[ts], m[dts]

@@ -70,7 +70,9 @@ def laurent_operators(P, c, l, k):
     if k < -l:
         raise ValueError("k must be at least -l")
     N = l + k
-    parts = [P.coeff_of_extra_power("s", d) for d in range(N + 1)]
+    sig = P.sig.without_extras("s")
+    by_power = P.coefficients(("s",), sig)
+    parts = [by_power.get((d,), WeylOperator.zero(sig)) for d in range(N + 1)]
     gamma = inverse_series(c, N + 1)
     out = []
     fact = 1
@@ -78,7 +80,7 @@ def laurent_operators(P, c, l, k):
         if j:
             fact *= j
         r = N - j
-        T = WeylOperator.zero(parts[0].sig)
+        T = WeylOperator.zero(sig)
         for d in range(r + 1):
             T = T + parts[d].scale(gamma[r - d])
         out.append(T.scale(QQ(1, fact)))
@@ -97,7 +99,7 @@ def build_Jk(ann, k):
     for Q in ann.generators:
         derivs = [Q]
         for _ in range(k):
-            derivs.append(derivs[-1].deriv_extra("s"))
+            derivs.append(derivs[-1].derivative("s"))
         for j in range(k + 1):
             vec = [zero] * (k + 1)
             for i in range(j + 1):

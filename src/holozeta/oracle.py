@@ -64,7 +64,7 @@ class LogSection:
         self.a = None if symbolic else QQ(a)
         self.sig = inst.sig_s if symbolic else inst.sig
         # I inside this signature (s rides along freely), with its basis
-        self._gb = IdealPresentation.make(self.sig, [g.embed(self.sig) for g in inst.I_gens])
+        self._gb = IdealPresentation(self.sig, [g.embed(self.sig) for g in inst.I_gens])
         self._gb.basis(deadline=deadline)
         self.entries = {}
         if entries:
@@ -103,7 +103,7 @@ class LogSection:
         return WeylOperator(sig, out)
 
     def _put(self, j, op, fpow):
-        op = op if op.sig == self.sig else op.embed(self.sig)
+        op = op.embed(self.sig)
         cur = self.entries.get(j)
         if cur is not None:
             cop, ck = cur
@@ -202,7 +202,7 @@ def _apply_dx(sec, i):
     inst = sec.inst
     sig = sec.sig
     f = inst.f.embed(sig)
-    fi = inst.f.x_derivative(i).embed(sig)
+    fi = inst.f.derivative(inst.x_names[i]).embed(sig)
     di = WeylOperator.gen(sig, "d" + inst.x_names[i])
     efac = _exponent_factor(sec, sig)
     out = sec._empty()

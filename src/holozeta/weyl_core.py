@@ -148,19 +148,6 @@ class RingSignature:
         except KeyError:
             raise SignatureMismatch(f"no generator {name!r} in {self._names}") from None
 
-    def d_slot(self, i):
-        return self.n_x + i
-
-    @property
-    def t_slot(self):
-        if not self.has_t:
-            raise SignatureMismatch("signature has no t")
-        return 2 * self.n_x
-
-    @property
-    def dt_slot(self):
-        return self.t_slot + 1
-
     # -- derived signatures --------------------------------------------------
     def without_extras(self, *names):
         extras = tuple(e for e in self.extras if e not in names)
@@ -169,9 +156,11 @@ class RingSignature:
     def homogenize(self):
         return RingSignature(self.x_names, self.has_t, self.extras, True)
 
-    def unit_mono(self, name, exp=1):
+    def mono(self, exps):
+        """The exponent tuple of prod name^e over a {name: e} dict or pairs."""
         m = [0] * self.nslots
-        m[self.slot(name)] = exp
+        for name, e in dict(exps).items():
+            m[self.slot(name)] = e
         return tuple(m)
 
 
@@ -373,7 +362,7 @@ class WeylOperator:
 
     @classmethod
     def gen(cls, sig, name, exp=1):
-        return cls(sig, {sig.unit_mono(name, exp): QQ1})
+        return cls(sig, {sig.mono({name: exp}): QQ1})
 
     def copy(self):
         return WeylOperator._of(self.sig, dict(self.terms))
@@ -507,37 +496,70 @@ class WeylOperator:
                 for m in sorted(self.terms, key=keyf, reverse=True)]
 
     # -- slot surgery -----------------------------------------------------------
-    def embed(self, new_sig):
-        """Map into a larger signature by generator name."""
-        mapping = [new_sig.slot(n) for n in self.sig.names]
-        out = {}
-        for m, c in self.exponent_terms().items():
-            m2 = [0] * new_sig.nslots
-            for i, e in enumerate(m):
-                m2[mapping[i]] = e
-            out[tuple(m2)] = c
-        return WeylOperator(new_sig, out)
+    def coefficients(self, names, sig):
+        """{exponents of names: operator over sig}: the terms grouped by their
+        exponent tuple in the named generators, in the order given.  Each group
+        drops those generators and carries every other one, by name, into sig;
+        a generator that occurs but is missing from sig raises."""
+        src, pk = self.sig, self.sig._pk
+        picked = [pk.shifts[src.slot(n)] for n in names]
+        moves = []
+        lost = 0
+        for n, sh in zip(src.names, pk.shifts):
+            if n in names:
+                continue
+            if n in sig._index:
+                moves.append((sh, sig._pk.shifts[sig._index[n]]))
+            else:
+                lost |= 0x7FFF << sh
+        groups = {}
+        for m, c in self.terms.items():
+            if m & lost:
+                raise SignatureMismatch(f"a generator in use is missing from {sig.names}")
+            key = tuple((m >> sh) & 0x7FFF for sh in picked)
+            m2 = 0
+            for sh, sh2 in moves:
+                m2 += ((m >> sh) & 0x7FFF) << sh2
+            groups.setdefault(key, {})[m2] = c
+        return {key: WeylOperator._of(sig, t) for key, t in groups.items()}
 
-    def strip_slots(self, names, new_sig=None):
-        """Remove generators (which must not occur) from the signature."""
-        drop = {self.sig.slot(n) for n in names}
-        if new_sig is None:
-            new_sig = self.sig.without_extras(*names)
-        if any(self.uses_slot(i) for i in drop):
-            raise SignatureMismatch(f"operator uses stripped generator(s) {names}")
-        return WeylOperator(new_sig, {tuple(e for i, e in enumerate(m) if i not in drop): c
-                                      for m, c in self.exponent_terms().items()})
+    def homogenize(self, name, row, sig):
+        """Embed into sig and pad each term with the power of name that brings
+        it to the top weight under row ({generator: weight}, 0 if absent): the
+        largest weight if row[name] is +1, the smallest if it is -1."""
+        op = self.embed(sig)
+        if not op.terms:
+            return op
+        step = row[name]
+        weighted = op._weighted(tuple(row.get(n, 0) for n in sig.names))
+        top = max(w * step for w in weighted.values()) * step
+        pk = sig._pk
+        sh = pk.shifts[sig.slot(name)]
+        out = {}
+        for m, c in op.terms.items():
+            pad = (top - weighted[m]) * step
+            if pad + ((m >> sh) & 0x7FFF) > MAX_EXPONENT:
+                raise OverflowError(_OVERFLOW)
+            out[m + (pad << sh)] = c
+        return WeylOperator._of(sig, out)
+
+    def embed(self, sig):
+        """The same operator over a signature with every generator it uses."""
+        if sig == self.sig:
+            return self
+        return self.coefficients((), sig).get((), WeylOperator(sig))
 
     def subs_extra(self, name, value, new_sig=None):
         """Substitute a rational value for a central extra and drop its slot."""
-        i = self.sig.slot(name)
         value = QQ(value)
         if new_sig is None:
             new_sig = self.sig.without_extras(name)
         res = {}
-        for m, c in self.exponent_terms().items():
-            add_term(res, m[:i] + m[i + 1:], c * value ** m[i])
-        return WeylOperator(new_sig, res)
+        for (e,), op in self.coefficients((name,), new_sig).items():
+            v = value ** e
+            for m, c in op.terms.items():
+                add_term(res, m, c * v)
+        return WeylOperator._of(new_sig, res)
 
     def shift_extra(self, name, a):
         """P(..., v, ...) -> P(..., v + a, ...) for a central extra v."""
@@ -558,29 +580,16 @@ class WeylOperator:
         return WeylOperator._of(self.sig, {m: c for m, c in self.terms.items()
                                            if (m >> sh) & 0x7FFF <= n})
 
-    def _slot_derivative(self, i):
-        sh = self.sig._pk.shifts[i]
+    def derivative(self, name):
+        """Formal derivative with respect to a generator that commutes with the
+        operator: a central extra, or an x_i of a polynomial without d's."""
+        sh = self.sig._pk.shifts[self.sig.slot(name)]
         res = {}
         for m, c in self.terms.items():
             e = (m >> sh) & 0x7FFF
             if e:
                 add_term(res, m - (1 << sh), c * e)
         return WeylOperator._of(self.sig, res)
-
-    def deriv_extra(self, name):
-        """Formal derivative with respect to a central extra."""
-        return self._slot_derivative(self.sig.slot(name))
-
-    def x_derivative(self, i):
-        """Commutative d/dx_i; requires a pure polynomial in the x's/extras."""
-        return self._slot_derivative(i)
-
-    def coeff_of_extra_power(self, name, e):
-        """Operator coefficient of (extra)^e, with the extra slot removed."""
-        i = self.sig.slot(name)
-        return WeylOperator(self.sig.without_extras(name),
-                            {m[:i] + m[i + 1:]: c for m, c in self.exponent_terms().items()
-                             if m[i] == e})
 
     def eval_point(self, values):
         """Evaluate a commutative operator (no d-slots) at a point.
@@ -1074,10 +1083,6 @@ class _Presentation:
 class IdealPresentation(_Presentation):
     """Left ideal given by operator generators."""
 
-    @classmethod
-    def make(cls, sig, gens):
-        return cls(sig, gens)
-
     def _terms(self, op):
         if op.sig != self.sig:
             raise SignatureMismatch("operands differ in signature")
@@ -1121,10 +1126,10 @@ def eliminate(ideal, kill, deadline=None, stage="elimination"):
     """
     kill = tuple(kill)
     gb = ideal.basis(TermOrder.elimination(ideal.sig, kill), deadline, stage)
-    slots = [ideal.sig.slot(n) for n in kill]
     new_sig = ideal.sig.without_extras(*kill)
-    kept = tuple(g.strip_slots(kill, new_sig) for g in gb
-                 if not any(g.uses_slot(i) for i in slots))
+    free = (0,) * len(kill)
+    kept = tuple(parts[free] for parts in (g.coefficients(kill, new_sig) for g in gb)
+                 if parts.keys() == {free})
     return IdealPresentation(new_sig, kept, kept)
 
 

@@ -85,7 +85,7 @@ def test_criterion_04_laurent_residue_ideals(inst_cusp):
     for lam, gens in expected.items():
         with criterion(4, f"laurent residue ideal at {lam}", 120):
             system = ann_laurent(LaurentRequest(inst_cusp, lam, -1))
-            assert same_ideal(system.ann_w, IdealPresentation.make(sig, gens)), str(lam)
+            assert same_ideal(system.ann_w, IdealPresentation(sig, gens)), str(lam)
 
 
 def test_criterion_05_ex5_laurent_k_minus_2(inst_ex5):
@@ -94,7 +94,7 @@ def test_criterion_05_ex5_laurent_k_minus_2(inst_ex5):
         x, y, z = (W.gen(sig, n) for n in ("x", "y", "z"))
         system = ann_laurent(LaurentRequest(inst_ex5, QQ(-5, 6), -2))
         assert system.l == 2
-        assert same_ideal(system.ann_w, IdealPresentation.make(sig, [x, y, z]))
+        assert same_ideal(system.ann_w, IdealPresentation(sig, [x, y, z]))
 
 
 def _ex5_k_minus_1(inst_ex5):
@@ -111,7 +111,7 @@ def test_criterion_05_ex5_laurent_k_minus_1_literal(inst_ex5):
     x, y, z, dy, dz = (W.gen(sig, n) for n in ("x", "y", "z", "dy", "dz"))
     with criterion(5, "Ex5 k=-1 (as quoted, sign typo)", 600):
         system = _ex5_k_minus_1(inst_ex5)
-        literal = IdealPresentation.make(
+        literal = IdealPresentation(
             sig, [x, y * dy - z * dz, y * z, z * z * dz - z])
         assert same_ideal(system.ann_w, literal)
 
@@ -121,7 +121,7 @@ def test_criterion_05_ex5_laurent_k_minus_1_corrected(inst_ex5):
     x, y, z, dy, dz = (W.gen(sig, n) for n in ("x", "y", "z", "dy", "dz"))
     with criterion(5, "Ex5 k=-1 (corrected sign)", 600):
         system = _ex5_k_minus_1(inst_ex5)
-        corrected = IdealPresentation.make(
+        corrected = IdealPresentation(
             sig, [x, y * dy - z * dz, y * z, z * z * dz + z])
         assert same_ideal(system.ann_w, corrected)
 

@@ -60,7 +60,7 @@ def test_bfunction_ex3_is_one(inst_ex3):
 def _b_ideal(ann, f):
     """ann + D_n[s] f."""
     sig_s = ann.sig
-    return IdealPresentation.make(sig_s, list(ann.generators) + [f.embed(sig_s)])
+    return IdealPresentation(sig_s, list(ann.generators) + [f.embed(sig_s)])
 
 
 def test_bfunction_past_deadline_times_out(inst_cusp):

@@ -269,6 +269,24 @@ def test_malformed_lambda0_file_key_is_input_error(value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", "", "--1", "1/2", "- 1"])
+def test_malformed_k_file_key_is_input_error(value, tmp_path, capsys):
+    p = tmp_path / "bad.prob"
+    p.write_text("vars: x, y\nf: x^3 - y^2\nannihilator: dx, dy\n"
+                 f"lambda0: -5/6\nk: {value}\nassume_saturated: true\n")
+    with pytest.raises(InputError, match=r"not an integer.*\(line 5\)"):
+        ProblemFile.load(str(p))
+    assert run(["laurent", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_k_signs(tmp_path):
+    p = tmp_path / "ok.prob"
+    for text, value in [("-1", -1), ("+2", 2), (" 0 ", 0), ("007", 7)]:
+        p.write_text(f"vars: x\nf: x\nannihilator: dx\nk: {text}\n")
+        assert ProblemFile.load(str(p)).k == value
+
+
 def test_lambda0_signs(tmp_path):
     p = tmp_path / "ok.prob"
     for text, value in [("-5/6", QQ(-5, 6)), ("+5/6", QQ(5, 6)), (" 4/6 ", QQ(2, 3)),

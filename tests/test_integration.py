@@ -82,8 +82,8 @@ def test_fourier_preserves_commutators():
 def test_weight_bfunction_hand_cases():
     sig = d_n(("x",))
     x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
-    assert weight_bfunction(IdealPresentation.make(sig, [dx])) == UPoly((0, 1))
-    assert weight_bfunction(IdealPresentation.make(sig, [x])) == UPoly((1, 1))
+    assert weight_bfunction(IdealPresentation(sig, [dx])) == UPoly((0, 1))
+    assert weight_bfunction(IdealPresentation(sig, [x])) == UPoly((1, 1))
 
 
 def test_weight_bfunction_gamma_case(inst_gamma):
@@ -98,7 +98,7 @@ def test_restriction_k0_none_gives_unit_ideal():
     # nonnegative integer root, so the degree-0 integral module vanishes
     sig = d_np1(("x",))
     x, dx, t, dt = (W.gen(sig, n) for n in ("x", "dx", "t", "dt"))
-    ideal = IdealPresentation.make(sig, [dx, dt + 1])
+    ideal = IdealPresentation(sig, [dx, dt + 1])
     out = integration_ideal(ideal)
     assert is_unit(out)
     ops = mellin_to_difference(out)
@@ -117,7 +117,7 @@ def test_weight_bfunction_not_holonomic_error():
     sig = d_n(("x", "y"))
     dx = W.gen(sig, "dx")
     with pytest.raises(NotHolonomic):
-        weight_bfunction(IdealPresentation.make(sig, [dx]))
+        weight_bfunction(IdealPresentation(sig, [dx]))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_dx_on_log_section(inst_cusp):
     sig_s = inst_cusp.sig_s
     dx = W.gen(sig_s, "dx")
     out = apply_log_section(dx, LogSection.fs(inst_cusp, j=1))
-    fx = inst_cusp.f.x_derivative(0).embed(sig_s)
+    fx = inst_cusp.f.derivative("x").embed(sig_s)
     s = W.gen(sig_s, "s")
     assert set(out.entries) == {0, 1}
     op1, k1 = out.entries[1]
