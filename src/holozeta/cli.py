@@ -257,7 +257,10 @@ class ProblemFile:
         phi, phi_line = take("phi")
         if phi and phi not in PHI_FAMILIES:
             raise InputError(f"unknown phi family {phi!r}", phi_line)
-        sat = (take("assume_saturated", "false")[0] or "false").lower() in ("true", "yes", "1")
+        sat_text, sat_line = take("assume_saturated")
+        sat = _BOOLEANS.get((sat_text or "false").lower())
+        if sat is None:
+            raise InputError(f"not a boolean: {sat_text!r}", sat_line)
         if keys:
             name, (_, lineno) = next(iter(keys.items()))
             raise InputError(f"unknown key {name!r}", lineno)
@@ -293,6 +296,7 @@ class ProblemFile:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -419,7 +423,7 @@ def _run_verify(args, prob):
         ops = zeta_difference(inst, deadline=args.deadline)
         order = max(op.max_power for op in ops)
         lams = list(range(0, 7 + order))
-        zv = numeric_zeta(inst.f, PhiSpec(prob.phi), lams, tol=args.tol, box=args.box)
+        zv = numeric_zeta(inst.f, PhiSpec(prob.phi), lams, box=args.box)
         resid = residual_check(ops, list(zip(lams, zv.values)))
         doc["difference_operators"] = [op.to_str() for op in ops]
         doc["numeric_residual"] = resid

@@ -82,10 +82,9 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     sig = ideal.sig
     hsig = sig.homogenize()
     row = _w_row(hsig)
-    order = TermOrder(hsig, blocks=[tuple(range(hsig.nslots))], weight_rows=[row])
-    pre = ideal.basis(deadline=deadline, stage=stage + "-prereduce")
+    order = TermOrder(hsig, weight_rows=[row])
     ones = dict.fromkeys(hsig.names, 1)
-    hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in pre])
+    hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in ideal.generators])
     dehomogenized = (g.subs_extra("h", 1, sig) for g in hideal.basis(order, deadline, stage))
     return [g for g in dehomogenized if g]
 

@@ -28,6 +28,10 @@ class OracleError(RuntimeError):
     pass
 
 
+# largest power of f tried by the zero test on unsaturated modules
+M_CAP = 8
+
+
 def _comm_poly_div(num, den):
     """Exact division of commutative exponent-dict polynomials, or None.
 
@@ -58,7 +62,7 @@ class LogSection:
     op lives in D_n[s], in numeric mode in D_n.
     """
 
-    def __init__(self, inst, entries=None, symbolic=True, a=None, deadline=None):
+    def __init__(self, inst, symbolic=True, a=None, deadline=None):
         self.inst = inst
         self.symbolic = symbolic
         self.a = None if symbolic else QQ(a)
@@ -67,9 +71,6 @@ class LogSection:
         self._gb = IdealPresentation(self.sig, [g.embed(self.sig) for g in inst.I_gens])
         self._gb.basis(deadline=deadline)
         self.entries = {}
-        if entries:
-            for j, (op, fpow) in entries.items():
-                self._put(j, op, fpow)
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -159,10 +160,10 @@ class LogSection:
         return self + other.scale(-1)
 
     # -- zero testing --------------------------------------------------------------
-    def is_zero(self, m_cap=8):
-        return self.vanishing_m(m_cap) is not None
+    def is_zero(self):
+        return self.vanishing_m() is not None
 
-    def vanishing_m(self, m_cap=8):
+    def vanishing_m(self):
         """Smallest m with f^m op_j = 0 mod I for every entry, or None.
 
         For f-saturated input m = 0 always suffices; the search is kept for
@@ -173,12 +174,12 @@ class LogSection:
         for j, (op, _k) in self.entries.items():
             cur = op
             m = 0
-            while m <= m_cap:
+            while m <= M_CAP:
                 if self._gb.contains(cur):
                     break
                 cur = f * cur
                 m += 1
-            if m > m_cap:
+            if m > M_CAP:
                 return None
             worst = max(worst, m)
         return worst
@@ -190,70 +191,42 @@ class LogSection:
         return f"<LogSection e={kind} {{{inner}}}>"
 
 
-def _exponent_factor(sec, sig_work):
-    """The multiplier in the derivation rule: s (symbolic) or the rational a."""
-    if sec.symbolic:
-        return WeylOperator.gen(sig_work, "s")
-    return WeylOperator.constant(sig_work, sec.a)
-
-
-def _apply_dx(sec, i):
-    """Action of d_i: product rule over f^e, the log power, and the M-side."""
-    inst = sec.inst
-    sig = sec.sig
-    f = inst.f.embed(sig)
-    fi = inst.f.derivative(inst.x_names[i]).embed(sig)
-    di = WeylOperator.gen(sig, "d" + inst.x_names[i])
-    efac = _exponent_factor(sec, sig)
+def _map(sec, fn, dk=0):
+    """The section with every entry (op, k) replaced by (fn(op), k + dk)."""
     out = sec._empty()
     for j, (op, k) in sec.entries.items():
-        # d_i (f^{-k} f^e log^j (x) op u) =
-        #   f^{-(k+1)} f^e log^j (x) (f d_i + (e-k) f_i) op u
-        # + j f^{-(k+1)} f^e log^(j-1) (x) f_i op u
-        main = (f * di + (efac - k) * fi) * op
-        out._put(j, main, k + 1)
+        out._put(j, fn(op), k + dk)
+    return out
+
+
+def _apply_gen(sec, name):
+    """Action of the generator called name on the section sec."""
+    inst, sig = sec.inst, sec.sig
+    if name in ("s", "t", "dt") and not sec.symbolic:
+        raise OracleError(f"{name} acts on symbolic sections only")
+    if name == "t":
+        # t acts through the Mellin identification as E_s: shift s, multiply by f
+        f = inst.f.embed(sig)
+        return _map(sec, lambda op: f * op.shift_extra("s", 1))
+    if name == "dt":
+        # dt = -s E_s^{-1}: shift s by -1, divide by f, multiply by -s
+        s = WeylOperator.gen(sig, "s")
+        return _map(sec, lambda op: -s * op.shift_extra("s", -1), dk=1)
+    if name == "s" or name in inst.x_names:
+        g = WeylOperator.gen(sig, name)
+        return _map(sec, lambda op: g * op)
+    # d_i (f^{-k} f^e log^j (x) op u) =
+    #   f^{-(k+1)} f^e log^j (x) (f d_i + (e-k) f_i) op u
+    # + j f^{-(k+1)} f^e log^(j-1) (x) f_i op u
+    f = inst.f.embed(sig)
+    fi = inst.f.derivative(name[1:]).embed(sig)
+    di = WeylOperator.gen(sig, name)
+    e = WeylOperator.gen(sig, "s") if sec.symbolic else WeylOperator.constant(sig, sec.a)
+    out = sec._empty()
+    for j, (op, k) in sec.entries.items():
+        out._put(j, (f * di + (e - k) * fi) * op, k + 1)
         if j:
             out._put(j - 1, fi.scale(j) * op, k + 1)
-    return out
-
-
-def _apply_x(sec, i):
-    out = sec._empty()
-    xi = WeylOperator.gen(sec.sig, sec.inst.x_names[i])
-    for j, (op, k) in sec.entries.items():
-        out._put(j, xi * op, k)
-    return out
-
-
-def _apply_s(sec):
-    if not sec.symbolic:
-        raise OracleError("s acts on symbolic sections only")
-    out = sec._empty()
-    s = WeylOperator.gen(sec.sig, "s")
-    for j, (op, k) in sec.entries.items():
-        out._put(j, s * op, k)
-    return out
-
-
-def _apply_t(sec):
-    """t acts through the Mellin identification as E_s: shift s, multiply by f."""
-    if not sec.symbolic:
-        raise OracleError("t/dt act on symbolic sections only")
-    f = sec.inst.f.embed(sec.sig)
-    out = sec._empty()
-    for j, (op, k) in sec.entries.items():
-        out._put(j, f * op.shift_extra("s", 1), k)
-    return out
-
-
-def _apply_dt(sec):
-    """dt = -s E_s^{-1}: shift s by -1, divide by f, multiply by -s."""
-    if not sec.symbolic:
-        raise OracleError("t/dt act on symbolic sections only")
-    out = sec._empty()
-    s = WeylOperator.gen(sec.sig, "s")
-    for j, (op, k) in sec.entries.items():
-        out._put(j, (-s) * op.shift_extra("s", -1), k + 1)
     return out
 
 
@@ -265,38 +238,23 @@ def apply_log_section(P, v):
     D_n operators.
     """
     psig = P.sig
-    inst = v.inst
-    if psig.x_names != inst.x_names:
+    if psig.x_names != v.inst.x_names:
         raise SignatureMismatch("operator over different x variables")
-    n = len(inst.x_names)
     out = None
     for m, c in P.exponent_terms().items():
         cur = v.scale(c)
-        # rightmost factors first: extras, dt, t, dx, x
-        for name_i, e in reversed(list(enumerate(m))):
-            if not e:
-                continue
-            name = psig.names[name_i]
+        for name, e in reversed(list(zip(psig.names, m))):
             for _ in range(e):
-                if name == "s":
-                    cur = _apply_s(cur)
-                elif name == "t":
-                    cur = _apply_t(cur)
-                elif name == "dt":
-                    cur = _apply_dt(cur)
-                elif name.startswith("d"):
-                    cur = _apply_dx(cur, inst.x_names.index(name[1:]))
-                else:
-                    cur = _apply_x(cur, inst.x_names.index(name))
+                cur = _apply_gen(cur, name)
         out = cur if out is None else out + cur
     if out is None:
         out = v._empty()
     return out
 
 
-def annihilates(P, v, m_cap=8):
+def annihilates(P, v):
     """Convenience: does P send the section v to zero (exactly)?"""
-    return apply_log_section(P, v).is_zero(m_cap)
+    return apply_log_section(P, v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +300,6 @@ class PhiSpec:
 class ZetaValues:
     lambdas: list
     values: list
-    errors: list
 
 
 def _f_callable(f):
@@ -384,7 +341,8 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
     n <= 2 and lambda >= 0 only (no numeric analytic continuation).  The
     region {f > 0} is clipped to [-box, box]^n; integration is split at the
     numerically located boundary of {f = 0} so the integrand stays smooth on
-    each piece.  Returns values with error estimates.
+    each piece.  tol is accepted for callers that pass it and not read:
+    mpmath.quad picks its own precision.
     """
     sig = f.sig
     n = sig.n_x
@@ -396,7 +354,7 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
     phif = phi.callable_for(n)
     old = mpmath.mp.prec
     mpmath.mp.prec = 80
-    values, errors = [], []
+    values = []
     try:
         for lam in lambdas:
             lamf = mpmath.mpf(int(QQ(lam).numerator)) / mpmath.mpf(int(QQ(lam).denominator))
@@ -409,14 +367,9 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
                 cuts = _split_roots(lambda x: float(fx(x)), -box, box, 4 * depth)
                 pts = [-box] + [c for c in cuts if -box < c < box] + [box]
                 total = mpmath.mpf(0)
-                err = mpmath.mpf(0)
                 for a, b in zip(pts, pts[1:]):
-                    val = mpmath.quad(integrand, [a, b])
-                    total += val
+                    total += mpmath.quad(integrand, [a, b])
                 values.append(float(total))
-                # two-resolution style estimate on the whole interval
-                coarse = mpmath.quad(integrand, pts)
-                errors.append(abs(float(total - coarse)) + 1e-30)
             else:
                 # outer composite Simpson over exact 1-D inner integrals; the
                 # inner integrand is split at the numerically located
@@ -440,14 +393,10 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
                         total += wgt * inner(yv)
                     return total * h / 3
 
-                n1 = 8 * depth + 1
-                coarse = simpson(n1 // 2 | 1)
-                fine = simpson(n1)
-                values.append(float(fine))
-                errors.append(abs(float(fine - coarse)) + 1e-30)
+                values.append(float(simpson(8 * depth + 1)))
     finally:
         mpmath.mp.prec = old
-    return ZetaValues(list(lambdas), values, errors)
+    return ZetaValues(list(lambdas), values)
 
 
 def residual_check(ops, grid):

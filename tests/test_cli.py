@@ -153,6 +153,16 @@ def test_run_verify_gamma(capsys):
     assert "numeric_residual_ok: True" in out
 
 
+def test_run_verify_variable_named_like_a_derivative(tmp_path, capsys):
+    p = tmp_path / "dog.prob"
+    p.write_text("vars: dog\nf: dog\nannihilator: ddog\nassume_saturated: true\n")
+    rc = run(["verify", str(p), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["annihilator_sound"] and doc["functional_equation_holds"]
+    assert doc["bfunction"]["monic"] == "s + 1"
+
+
 def test_run_input_error_exit_3(tmp_path, capsys):
     p = tmp_path / "broken.prob"
     p.write_text("vars: x\nf: 3*x^-1\nannihilator: dx\nassume_saturated: true\n")
@@ -293,6 +303,26 @@ def test_lambda0_signs(tmp_path):
                         ("-1", QQ(-1))]:
         p.write_text(f"vars: x\nf: x\nannihilator: dx\nlambda0: {text}\n")
         assert ProblemFile.load(str(p)).lambda0 == value
+
+
+@pytest.mark.parametrize("value", ["ture", "y", "2", "on", "true false"])
+def test_malformed_assume_saturated_is_input_error(value, tmp_path, capsys):
+    p = tmp_path / "bad.prob"
+    p.write_text(f"vars: x\nf: x\nannihilator: x*dx - 1\nassume_saturated: {value}\n")
+    with pytest.raises(InputError, match=r"not a boolean.*\(line 4\)"):
+        ProblemFile.load(str(p))
+    assert run(["bfun", str(p)]) == 3
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_assume_saturated_values(tmp_path):
+    p = tmp_path / "ok.prob"
+    for text, value in [("true", True), ("YES", True), ("1", True), ("True", True),
+                        ("false", False), ("No", False), ("0", False), ("", False)]:
+        p.write_text(f"vars: x\nf: x\nannihilator: dx\nassume_saturated: {text}\n")
+        assert ProblemFile.load(str(p)).assume_saturated is value
+    p.write_text("vars: x\nf: x\nannihilator: dx\n")
+    assert ProblemFile.load(str(p)).assume_saturated is False
 
 
 def test_console_entry_point_version():

@@ -9,6 +9,7 @@ from holozeta import (
     QQ,
     DifferenceOperator,
     PhiSpec,
+    ProblemInstance,
     UPoly,
     WeylOperator,
     ann_fs,
@@ -16,12 +17,13 @@ from holozeta import (
     bfunction,
     build_malgrange,
     d_n,
+    d_np1,
     functional_operator,
     numeric_zeta,
     residual_check,
     tau_substitute,
 )
-from holozeta.oracle import LogSection, OracleError, annihilates
+from holozeta.oracle import M_CAP, LogSection, OracleError, annihilates
 
 W = WeylOperator
 
@@ -127,6 +129,38 @@ def test_vanishing_m_reported(inst_x):
     assert out.vanishing_m() == 0
     nonzero = apply_log_section(dx, v)
     assert nonzero.vanishing_m() is None
+
+
+def test_vanishing_m_on_unsaturated_module():
+    # M = D_1/<x dx> is not x-saturated: dx u != 0 but x dx u = 0
+    sig = d_n(("x",))
+    x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
+    inst = ProblemInstance.make(("x",), x, [x * dx], saturated=False)
+    assert LogSection.fs(inst, mult=dx).vanishing_m() == 1
+    assert LogSection.fs(inst, mult=dx).is_zero()
+    # no power x^m with m <= M_CAP sends u into <x dx>
+    assert LogSection.fs(inst).vanishing_m() is None
+    assert not LogSection.fs(inst, mult=x ** M_CAP).is_zero()
+
+
+def test_variable_named_like_a_derivative():
+    # the x variable "dog" and its derivative "ddog" are told apart by name
+    sig = d_n(("dog",))
+    dog, ddog = W.gen(sig, "dog"), W.gen(sig, "ddog")
+    inst = ProblemInstance.make(("dog",), dog, [ddog])
+    dog_s, ddog_s, s = (W.gen(inst.sig_s, n) for n in ("dog", "ddog", "s"))
+    section = LogSection.fs(inst)
+    assert annihilates(dog_s * ddog_s - s, section)
+    assert not annihilates(ddog_s, section)
+    assert not annihilates(dog_s, section)
+
+
+@pytest.mark.parametrize("name", ["s", "t", "dt"])
+def test_numeric_section_rejects_s_t_dt(inst_x, name):
+    w = LogSection.fs(inst_x, symbolic=False, a=QQ(1, 2))
+    sig = inst_x.sig_s if name == "s" else d_np1(("x",))
+    with pytest.raises(OracleError, match="symbolic sections only"):
+        apply_log_section(W.gen(sig, name), w)
 
 
 def test_numeric_section_mode(inst_cusp):

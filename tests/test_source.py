@@ -22,3 +22,35 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: imported but never used (name: line) {unused}"
+
+
+def _references(tree):
+    """Names a module refers to: names, attributes, imported names and the
+    parts of dotted strings such as "UPoly.rational_roots"."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def test_every_definition_is_referenced():
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "tests", "bench") for path in (root / folder).rglob("*.py")}
+    referenced = set().union(*map(_references, trees.values()))
+    dead = [f"{path.name}:{node.lineno} {node.name}"
+            for path, tree in trees.items() if path.parent == SRC
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in referenced]
+    assert not dead, f"defined in src/holozeta but never referenced: {dead}"
