@@ -423,7 +423,8 @@ def _run_verify(args, prob):
         ops = zeta_difference(inst, deadline=args.deadline)
         order = max(op.max_power for op in ops)
         lams = list(range(0, 7 + order))
-        zv = numeric_zeta(inst.f, PhiSpec(prob.phi), lams, box=args.box)
+        box = PHI_FAMILIES[prob.phi] if args.box is None else args.box
+        zv = numeric_zeta(inst.f, PhiSpec(prob.phi), lams, box=box)
         resid = residual_check(ops, list(zip(lams, zv.values)))
         doc["difference_operators"] = [op.to_str() for op in ops]
         doc["numeric_residual"] = resid
@@ -467,8 +468,9 @@ def build_parser():
                            help="expansion point (rational p/q)")
             p.add_argument("--k", type=int, default=None, help="Laurent index")
         if name == "verify":
-            p.add_argument("--box", type=float, default=12.0,
-                           help="quadrature box half-width")
+            p.add_argument("--box", type=float, default=None,
+                           help="quadrature box half-width (default: by phi family, "
+                                "12 for gaussian and 50 for the others)")
             p.add_argument("--tol", type=float, default=1e-6,
                            help="numeric residual tolerance")
     return ap

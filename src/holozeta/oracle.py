@@ -261,7 +261,11 @@ def annihilates(P, v):
 # numeric side
 # ---------------------------------------------------------------------------
 
-PHI_FAMILIES = ("gaussian", "exponential", "one_sided_exp_inv", "one_sided_exp_inv_exp")
+# phi family -> default quadrature box half-width; the exponential weights
+# decay slowly, and a box of 12 clips x^lambda e^-x at the lambdas verify
+# samples (up to 7 + the operator order)
+PHI_FAMILIES = {"gaussian": 12.0, "exponential": 50.0,
+                "one_sided_exp_inv": 50.0, "one_sided_exp_inv_exp": 50.0}
 
 
 @dataclass(frozen=True)
@@ -279,7 +283,7 @@ class PhiSpec:
     def __post_init__(self):
         if self.family not in PHI_FAMILIES:
             raise ValueError(f"unknown phi family {self.family!r}; "
-                             f"choose one of {PHI_FAMILIES}")
+                             f"choose one of {tuple(PHI_FAMILIES)}")
 
     def callable_for(self, n):
         fam = self.family
@@ -300,17 +304,6 @@ class PhiSpec:
 class ZetaValues:
     lambdas: list
     values: list
-
-
-def _f_callable(f):
-    sig = f.sig
-    names = sig.x_names
-
-    def fx(*xs):
-        vals = dict(zip(names, xs))
-        return f.eval_point(vals)
-
-    return fx
 
 
 def _split_roots(g, lo, hi, samples):
@@ -339,64 +332,58 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
     """Adaptive quadrature of Z(lambda) = int_{f>0} f^lambda phi dx.
 
     n <= 2 and lambda >= 0 only (no numeric analytic continuation).  The
-    region {f > 0} is clipped to [-box, box]^n; integration is split at the
-    numerically located boundary of {f = 0} so the integrand stays smooth on
-    each piece.  tol is accepted for callers that pass it and not read:
+    region {f > 0} is clipped to [-box, box]^n; each line integral in x is
+    split at the numerically located boundary of {f = 0} so the integrand
+    stays smooth on each piece, and for n = 2 a composite Simpson rule in y
+    sums the lines.  tol is accepted for callers that pass it and not read:
     mpmath.quad picks its own precision.
     """
-    sig = f.sig
-    n = sig.n_x
+    n = f.sig.n_x
     if n > 2:
         raise OracleError("numeric_zeta supports n <= 2")
     if any(QQ(l) < 0 for l in lambdas):
         raise OracleError("numeric_zeta needs lambda >= 0")
-    fx = _f_callable(f)
+    if any(any(m[n:]) for m in f.exponent_terms()):
+        raise OracleError("numeric_zeta needs f to be a polynomial in x")
     phif = phi.callable_for(n)
-    old = mpmath.mp.prec
-    mpmath.mp.prec = 80
-    values = []
-    try:
-        for lam in lambdas:
-            lamf = mpmath.mpf(int(QQ(lam).numerator)) / mpmath.mpf(int(QQ(lam).denominator))
-            if n == 1:
-                def integrand(x):
-                    fv = fx(x)
-                    if fv <= 0:
-                        return mpmath.mpf(0)
-                    return fv ** lamf * phif(x)
-                cuts = _split_roots(lambda x: float(fx(x)), -box, box, 4 * depth)
-                pts = [-box] + [c for c in cuts if -box < c < box] + [box]
-                total = mpmath.mpf(0)
-                for a, b in zip(pts, pts[1:]):
-                    total += mpmath.quad(integrand, [a, b])
-                values.append(float(total))
-            else:
-                # outer composite Simpson over exact 1-D inner integrals; the
-                # inner integrand is split at the numerically located
-                # boundary of {f = 0} so each piece is smooth
-                def inner(y):
-                    def gx(x):
-                        fv = fx(x, y)
-                        if fv <= 0:
-                            return mpmath.mpf(0)
-                        return fv ** lamf * phif(x, y)
-                    cuts = _split_roots(lambda x: float(fx(x, y)), -box, box, 2 * depth)
-                    pts = [-box] + [c for c in cuts if -box < c < box] + [box]
-                    return mpmath.quad(gx, pts)
+    with mpmath.workprec(80):
+        lams = [mpmath.mpf(q.numerator) / q.denominator for q in map(QQ, lambdas)]
+        # f as (coefficient, ((x slot, exponent), ...)) terms
+        terms = [(mpmath.mpmathify(c), tuple((i, e) for i, e in enumerate(m) if e))
+                 for m, c in f.exponent_terms().items()]
+        zero = mpmath.mpf(0)
 
-                def simpson(npts):
-                    h = mpmath.mpf(2 * box) / (npts - 1)
-                    total = mpmath.mpf(0)
-                    for i in range(npts):
-                        yv = -box + i * h
-                        wgt = 1 if i in (0, npts - 1) else (4 if i % 2 else 2)
-                        total += wgt * inner(yv)
-                    return total * h / 3
+        def fx(*xs):
+            total = 0
+            for c, powers in terms:
+                for i, e in powers:
+                    c = c * xs[i] ** e
+                total = total + c
+            return total
 
-                values.append(float(simpson(8 * depth + 1)))
-    finally:
-        mpmath.mp.prec = old
-    return ZetaValues(list(lambdas), values)
+        def line(samples, *y):
+            """int_{-box}^{box} f(x, y)_+^lambda phi(x, y) dx for every lambda."""
+            cuts = _split_roots(lambda x: float(fx(x, *y)), -box, box, samples)
+            pts = [-box] + [c for c in cuts if -box < c < box] + [box]
+
+            def g(x):
+                fv = fx(x, *y)
+                return fv ** lam * phif(x, *y) if fv > 0 else zero
+
+            out = []
+            for lam in lams:            # g reads lam from this loop
+                out.append(mpmath.quad(g, pts))
+            return out
+
+        if n == 1:
+            return ZetaValues(list(lambdas), [float(v) for v in line(4 * depth)])
+        npts = 8 * depth + 1
+        h = mpmath.mpf(2 * box) / (npts - 1)
+        totals = [zero] * len(lams)
+        for i in range(npts):
+            wgt = 1 if i in (0, npts - 1) else (4 if i % 2 else 2)
+            totals = [t + wgt * v for t, v in zip(totals, line(2 * depth, -box + i * h))]
+        return ZetaValues(list(lambdas), [float(t * h / 3) for t in totals])
 
 
 def residual_check(ops, grid):

@@ -591,21 +591,6 @@ class WeylOperator:
                 add_term(res, m - (1 << sh), c * e)
         return WeylOperator._of(self.sig, res)
 
-    def eval_point(self, values):
-        """Evaluate a commutative operator (no d-slots) at a point.
-
-        values maps generator name -> number; supports floats/mpf/QQ.
-        """
-        total = 0
-        for m, c in self.exponent_terms().items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    name = self.sig.names[i]
-                    v = v * values[name] ** e
-            total = total + v
-        return total
-
     # -- printing ---------------------------------------------------------------
     def to_str(self, order=None):
         if not self.terms:

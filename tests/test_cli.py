@@ -153,6 +153,14 @@ def test_run_verify_gamma(capsys):
     assert "numeric_residual_ok: True" in out
 
 
+@pytest.mark.parametrize("name", ["gamma.prob", "ex3.prob"])
+def test_run_verify_default_box_follows_phi(name, capsys):
+    # the exponential weights get a box wide enough for x^lambda e^-x
+    rc = run(["verify", prob(name)])
+    assert rc == 0
+    assert "numeric_residual_ok: True" in capsys.readouterr().out
+
+
 def test_run_verify_variable_named_like_a_derivative(tmp_path, capsys):
     p = tmp_path / "dog.prob"
     p.write_text("vars: dog\nf: dog\nannihilator: ddog\nassume_saturated: true\n")

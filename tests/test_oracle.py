@@ -210,6 +210,32 @@ def test_numeric_zeta_empty_region_is_zero():
     assert all(abs(v) < 1e-12 for v in zv.values)
 
 
+def test_numeric_zeta_rejects_derivatives_in_f():
+    sig = d_n(("x",))
+    x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
+    with pytest.raises(OracleError):
+        numeric_zeta(x * dx, PhiSpec("gaussian"), [0])
+
+
+@pytest.mark.parametrize("n, box, depth", [(1, 4.0, 3), (2, 2.0, 1)], ids=["n1", "n2"])
+def test_numeric_zeta_lambdas_share_one_line_split(n, box, depth, monkeypatch):
+    # the cuts of each line are found once for every lambda, and one call
+    # over several lambdas returns exactly the single-lambda values
+    from holozeta import oracle
+    sig = d_n(("x", "y")[:n])
+    x = W.gen(sig, "x")
+    f = x ** 3 - W.gen(sig, "y") ** 2 if n == 2 else x * x - QQ(1, 3)
+    splits = []
+    split_roots = oracle._split_roots
+    monkeypatch.setattr(oracle, "_split_roots",
+                        lambda *a: splits.append(a) or split_roots(*a))
+    phi = PhiSpec("gaussian")
+    together = numeric_zeta(f, phi, [0, 1, 2], box=box, depth=depth).values
+    assert len(splits) == (1 if n == 1 else 8 * depth + 1)
+    alone = [numeric_zeta(f, phi, [lam], box=box, depth=depth).values[0] for lam in (0, 1, 2)]
+    assert together == alone
+
+
 def test_residual_check_gamma_closed_form():
     op = DifferenceOperator({1: UPoly.one(), 0: UPoly((-1, -1))})
     grid = [(i, float(mpmath.gamma(i + 1))) for i in range(0, 8)]
