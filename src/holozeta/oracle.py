@@ -263,7 +263,8 @@ def annihilates(P, v):
 
 # phi family -> default quadrature box half-width; the exponential weights
 # decay slowly, and a box of 12 clips x^lambda e^-x at the lambdas verify
-# samples (up to 7 + the operator order)
+# samples (up to 6 + the operator order).  No box at the default depth is
+# accurate for ex4's 2-D weight; see README.
 PHI_FAMILIES = {"gaussian": 12.0, "exponential": 50.0,
                 "one_sided_exp_inv": 50.0, "one_sided_exp_inv_exp": 50.0}
 
@@ -366,14 +367,11 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
             cuts = _split_roots(lambda x: float(fx(x, *y)), -box, box, samples)
             pts = [-box] + [c for c in cuts if -box < c < box] + [box]
 
-            def g(x):
+            def g(x, lam):
                 fv = fx(x, *y)
                 return fv ** lam * phif(x, *y) if fv > 0 else zero
 
-            out = []
-            for lam in lams:            # g reads lam from this loop
-                out.append(mpmath.quad(g, pts))
-            return out
+            return [mpmath.quad(lambda x: g(x, lam), pts) for lam in lams]
 
         if n == 1:
             return ZetaValues(list(lambdas), [float(v) for v in line(4 * depth)])

@@ -145,7 +145,8 @@ def test_run_json_deterministic(capsys):
 
 
 def test_run_verify_gamma(capsys):
-    rc = run(["verify", prob("gamma.prob"), "--box", "50", "--tol", "1e-6"])
+    # no --box: the exponential weights get a box wide enough for x^lambda e^-x
+    rc = run(["verify", prob("gamma.prob"), "--tol", "1e-6"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "annihilator_sound: True" in out
@@ -153,12 +154,17 @@ def test_run_verify_gamma(capsys):
     assert "numeric_residual_ok: True" in out
 
 
-@pytest.mark.parametrize("name", ["gamma.prob", "ex3.prob"])
-def test_run_verify_default_box_follows_phi(name, capsys):
-    # the exponential weights get a box wide enough for x^lambda e^-x
-    rc = run(["verify", prob(name)])
+def test_run_verify_default_box_follows_phi(capsys):
+    rc = run(["verify", prob("ex3.prob")])
     assert rc == 0
     assert "numeric_residual_ok: True" in capsys.readouterr().out
+
+
+def test_run_verify_box_overrides_phi_default(capsys):
+    # a box of 12 clips x^lambda e^-x, so the residual check fails on gamma
+    rc = run(["verify", prob("gamma.prob"), "--box", "12", "--tol", "1e-6"])
+    assert rc == 0
+    assert "numeric_residual_ok: False" in capsys.readouterr().out
 
 
 def test_run_verify_variable_named_like_a_derivative(tmp_path, capsys):
