@@ -366,10 +366,15 @@ def numeric_zeta(f, phi, lambdas, tol=1e-6, box=12.0, depth=14):
             """int_{-box}^{box} f(x, y)_+^lambda phi(x, y) dx for every lambda."""
             cuts = _split_roots(lambda x: float(fx(x, *y)), -box, box, samples)
             pts = [-box] + [c for c in cuts if -box < c < box] + [box]
+            seen = {}    # x -> (f, phi) where f > 0, else None: every lambda
+                         # runs quad on these cuts, so at the same nodes
 
             def g(x, lam):
-                fv = fx(x, *y)
-                return fv ** lam * phif(x, *y) if fv > 0 else zero
+                if x not in seen:
+                    fv = fx(x, *y)
+                    seen[x] = (fv, phif(x, *y)) if fv > 0 else None
+                v = seen[x]
+                return v[0] ** lam * v[1] if v else zero
 
             return [mpmath.quad(lambda x: g(x, lam), pts) for lam in lams]
 

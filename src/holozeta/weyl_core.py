@@ -901,10 +901,18 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     (lc g/d) x^a f - (lc f/d) x^b g with d = gcd(lc f, lc g), and each new
     remainder is divided by its content.  Deterministic: sugar-then-lcm
     pair selection, reduction by the first of the sparsest divisors, final
-    basis sorted by leading monomial.  When pair_components is given, S-pairs
-    are only formed between elements whose leading components lie in that
-    set; the other components ride along as exact payload (used for
-    representation tracking, where completeness is only needed in front).
+    basis sorted by leading monomial.
+
+    Redundant S-pairs are dropped by the Gebauer–Möller update as each
+    element joins the basis (the chain criterion, which holds in the Weyl
+    algebra; the product criterion does not).  When pair_components is
+    given, S-pairs are only formed between elements whose leading components
+    lie in that set; the other components ride along as exact payload (used
+    for representation tracking, where completeness is only needed in
+    front), and every pair is queued and tested by the chain criterion only
+    when it is popped, so the payload does not depend on the update.
+    stats.pairs_considered counts the pairs formed and pairs_skipped those
+    a criterion dropped; the rest were reduced.
     """
     global _LAST_STATS
     stats = GBStats()
@@ -928,41 +936,59 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
             out += max((am >> sh) & 0x7FFF, (bm >> sh) & 0x7FFF) << sh
         return out
 
-    pairs = []
-    def push_pairs(j):
+    def divides(a, b):
+        d = b - a
+        return d >= 0 and not (d & guard)
+
+    queued = {}      # (i, j) -> lcm of the pairs still to reduce
+    pairs = []       # their heap; a pair deleted from queued is skipped when popped
+
+    def add_pairs(j):
         rj = basis[j]
         if pair_components is not None and rj.comp not in pair_components:
             return
-        for i in range(j):
-            ri = basis[i]
-            if ri.comp != rj.comp:
-                continue
-            l = lcm_of(ri, rj)
+        formed = [i for i in range(j) if basis[i].comp == rj.comp]
+        if pair_components is not None:
+            kept = [(i, lcm_of(basis[i], rj)) for i in formed]
+        else:
+            # Gebauer–Möller: a queued pair whose lcm the new leading monomial
+            # divides, sharing that lcm with neither end, is redundant
+            h = rj.lm
+            for (i, k), l in list(queued.items()):
+                if (l >> cs == rj.comp and divides(h, l)
+                        and lcm_of(basis[i], rj) != l and lcm_of(basis[k], rj) != l):
+                    del queued[i, k]
+                    stats.pairs_skipped += 1
+            # of the new pairs, keep the lowest i per lcm, and only the lcms
+            # that no other new lcm properly divides
+            new = {}
+            for i in formed:
+                new.setdefault(lcm_of(basis[i], rj), i)
+            kept = [(i, l) for l, i in new.items()
+                    if not any(m != l and divides(m, l) for m in new)]
+        stats.pairs_considered += len(formed)
+        stats.pairs_skipped += len(formed) - len(kept)
+        for i, l in kept:
             dl = _pdeg(pk, l)
-            sugar = max(ri.sugar + dl - _pdeg(pk, ri.lm),
-                        rj.sugar + dl - _pdeg(pk, rj.lm))
+            sugar = max(r.sugar + dl - _pdeg(pk, r.lm) for r in (basis[i], rj))
+            queued[i, j] = l
             heapq.heappush(pairs, (sugar, keyf(l), i, j, l))
 
     for j in range(len(basis)):
-        push_pairs(j)
+        add_pairs(j)
 
-    while pairs:
+    while queued:
         if deadline is not None and time.monotonic() > deadline:
-            raise GBTimeout(stage, len(basis), len(pairs))
+            raise GBTimeout(stage, len(basis), len(queued))
         sugar, lkey, i, j, l = heapq.heappop(pairs)
-        stats.pairs_considered += 1
+        if queued.pop((i, j), None) is None:
+            continue
         fi, fj = basis[i], basis[j]
-        # chain criterion, stateless proper-divisor form
-        skip = False
-        for k, fk in enumerate(basis):
-            if k == i or k == j or fk.comp != fi.comp:
-                continue
-            d = l - fk.lm
-            if d >= 0 and not (d & guard):
-                if lcm_of(fi, fk) != l and lcm_of(fj, fk) != l:
-                    skip = True
-                    break
-        if skip:
+        if pair_components is not None and any(
+                k != i and k != j and fk.comp == fi.comp and divides(fk.lm, l)
+                and lcm_of(fi, fk) != l and lcm_of(fj, fk) != l
+                for k, fk in enumerate(basis)):
+            # chain criterion, stateless proper-divisor form
             stats.pairs_skipped += 1
             continue
         d = math.gcd(fi.lc, fj.lc)
@@ -973,15 +999,14 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         if rem:
             g = math.gcd(*rem.values())
             reducers.add(_Red({m: c // g for m, c in rem.items()}, keyf, pk))
-            push_pairs(len(basis) - 1)
+            add_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
 
     # minimalize: in key order, keep the elements no kept one divides
     kept = _Reducers(keyf, pk)
     for r in sorted(basis, key=lambda r: r.key):
-        if not any((d := r.lm - k.lm) >= 0 and not (d & guard)
-                   for k in kept.scan.get(r.comp, ())):
+        if not any(divides(k.lm, r.lm) for k in kept.scan.get(r.comp, ())):
             kept.add(r)
     # tail-reduce each against the others
     reduced = []
@@ -1156,6 +1181,9 @@ def represent(p, gens, deadline=None, stage="represent"):
     k = len(gens)
     aug = [{**g.terms, (1 + i) << pk.cshift: QQ1} for i, g in enumerate(gens)]
     order = TermOrder(sig, position="pt", top_comps=[0])
+    # pair_components keeps the engine's pop-time chain criterion here, not
+    # the Gebauer–Möller update: the payload rows, and so the cofactors and
+    # the printed P0 of funceq, depend on which pairs are reduced
     basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
     # component 0 sits above the others: an element is front-headed iff it
     # has a term there

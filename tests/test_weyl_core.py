@@ -780,9 +780,12 @@ def test_cached_basis_is_reduced_and_monic():
 
 # ---------------------------------------------------------------------------
 # reference: the Buchberger over Q that the fraction-free engine replaced,
-# with the same pair selection, reducer choice, chain criterion and order
-# (as a tuple key).  Reduced bases are unique and the engine's decisions
-# depend only on monomials, so bases and GBStats counters must agree.
+# with the same pair selection, reducer choice and order (as a tuple key),
+# and its own copy of the engine's pair criteria: the Gebauer–Möller update,
+# or with pair_components the chain criterion tested when a pair is popped.
+# Reduced bases are unique and the engine's decisions depend only on
+# monomials, so bases and GBStats counters must agree.  With criteria off,
+# it reduces every pair: a check that the criteria drop no needed pair.
 # ---------------------------------------------------------------------------
 
 def _ref_key(order, pk):
@@ -833,7 +836,7 @@ def _ref_nf(p, reds, pk, key, sparsest=False):
     return rem
 
 
-def _ref_groebner(gens, sig, order, pair_components=None):
+def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadline=None):
     """(reduced monic basis, GBStats) by Buchberger over Q."""
     pk = sig._pk
     key = _ref_key(order, pk)
@@ -849,30 +852,50 @@ def _ref_groebner(gens, sig, order, pair_components=None):
         return (a.comp << pk.cshift) + sum(
             max((a.lm >> sh) & 0x7FFF, (b.lm >> sh) & 0x7FFF) << sh for sh in pk.shifts)
 
+    def splits(k, i, j, lcm):
+        """The chain criterion: lm(k) divides lcm(i, j) and shares it with
+        neither i nor j."""
+        fk = basis[k]
+        return (fk.comp == lcm >> pk.cshift and _ref_divides(pk, fk.lm, lcm)
+                and lcm_of(basis[i], fk) != lcm and lcm_of(basis[j], fk) != lcm)
+
     pairs = []
+    dead = set()      # pairs the update deleted; they stay on the heap
 
     def push_pairs(j):
         rj = basis[j]
         if pair_components is not None and rj.comp not in pair_components:
             return
-        for i, ri in enumerate(basis[:j]):
-            if ri.comp == rj.comp:
-                lcm = lcm_of(ri, rj)
-                dl = _pdeg(pk, lcm)
-                sugar = max(r.sugar + dl - _pdeg(pk, r.lm) for r in (ri, rj))
-                heapq.heappush(pairs, (sugar, key(lcm), i, j, lcm))
+        new = [(i, lcm_of(ri, rj)) for i, ri in enumerate(basis[:j]) if ri.comp == rj.comp]
+        stats.pairs_considered += len(new)
+        if criteria and pair_components is None:
+            for *_, i, k, lcm in pairs:
+                if (i, k) not in dead and splits(j, i, k, lcm):
+                    dead.add((i, k))
+                    stats.pairs_skipped += 1
+            kept = [(i, lcm) for i, lcm in new
+                    if not any(m != lcm and _ref_divides(pk, m, lcm) for _, m in new)
+                    and not any(m == lcm and h < i for h, m in new)]
+            stats.pairs_skipped += len(new) - len(kept)
+            new = kept
+        for i, lcm in new:
+            dl = _pdeg(pk, lcm)
+            sugar = max(r.sugar + dl - _pdeg(pk, r.lm) for r in (basis[i], rj))
+            heapq.heappush(pairs, (sugar, key(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
     while pairs:
+        if deadline is not None and time.monotonic() > deadline:
+            raise GBTimeout("reference", len(basis), len(pairs))
         *_, i, j, lcm = heapq.heappop(pairs)
-        stats.pairs_considered += 1
-        fi, fj = basis[i], basis[j]
-        if any(k not in (i, j) and fk.comp == fi.comp and _ref_divides(pk, fk.lm, lcm)
-               and lcm_of(fi, fk) != lcm and lcm_of(fj, fk) != lcm
-               for k, fk in enumerate(basis)):
+        if (i, j) in dead:
+            continue
+        if criteria and pair_components is not None and any(
+                k not in (i, j) and splits(k, i, j, lcm) for k in range(len(basis))):
             stats.pairs_skipped += 1
             continue
+        fi, fj = basis[i], basis[j]
         s = {}
         _term_mul_into(pk, s, 1 / fi.lc, lcm - fi.lm, fi.terms)
         _term_mul_into(pk, s, -1 / fj.lc, lcm - fj.lm, fj.terms)
@@ -940,18 +963,61 @@ def test_engine_matches_rational_buchberger_rank_two_pt():
     assert stats.pairs_considered > 0
 
 
-def test_engine_matches_rational_buchberger_represent_payload():
+@pytest.mark.parametrize("case", [0, 1])
+def test_engine_matches_rational_buchberger_represent_payload(case):
     # the augmented input of represent: S-pairs only in component 0, the
-    # unit-vector payload riding along
+    # unit-vector payload riding along; on the second case the
+    # Gebauer–Möller update would reduce other pairs (15 skipped, not 9)
+    # and leave another payload basis (7 elements, not 10)
     sig = d_n_s(("x",))
     x, dx, s = (W.gen(sig, n) for n in ("x", "dx", "s"))
-    gens = [x * dx * QQ(2, 3) - s, x * x * QQ(-5, 2) + 1, dx * dx - x]
+    gens = [[x * dx * QQ(2, 3) - s, x * x * QQ(-5, 2) + 1, dx * dx - x],
+            [x + s * QQ(1, 3), dx * dx, x * s * -3 + dx * s * QQ(1, 3)]][case]
     pk = sig._pk
     aug = [{**g.terms, (1 + i) << pk.cshift: QQ(1)} for i, g in enumerate(gens)]
     order = TermOrder(sig, position="pt", top_comps=[0])
     (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(aug, sig, order, {0})
     assert basis == ref_basis and stats == ref_stats
     assert stats.pairs_considered > 0
+
+
+@pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y")), d_n_s(("x", "y"))],
+                         ids=["D1", "D2", "D2[s]"])
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_engine_matches_buchberger_without_criteria(sig, rank, data):
+    # the pair criteria drop only pairs a complete basis does not need: the
+    # engine's basis equals that of a Buchberger run reducing every pair;
+    # module entries are dropped at random, as in the colon
+    columns = [data.draw(_generators(sig)) for _ in range(rank)]
+    vectors = [tuple(op if rank == 1 or data.draw(st.booleans()) else W.zero(sig)
+                     for op in vec) for vec in zip(*columns)]
+    pk = sig._pk
+    gens = [{m + (i << pk.cshift): c for i, op in enumerate(v) for m, c in op.terms.items()}
+            for v in vectors]
+    order = TermOrder.grevlex(sig) if rank == 1 else TermOrder(sig, position="pt")
+    try:
+        # a few draws in a hundred take seconds, without criteria minutes
+        basis = groebner_engine(gens, sig, order, deadline=time.monotonic() + 1)
+        ref = _ref_groebner(gens, sig, order, criteria=False, deadline=time.monotonic() + 5)
+    except GBTimeout:
+        reject()
+    assert basis == ref[0]
+
+
+def test_timeout_counts_live_pairs_only():
+    # the third leading monomial, x y^3 dy, splits the lcm x y^3 dx dy^2 of
+    # the first two, so the update deletes their pair from the queue (it
+    # stays on the heap) before the deadline, already passed, is read
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    gens = [y ** 3 * dx, x * y ** 2 * dy ** 2, x * y ** 3 * dy]
+    with pytest.raises(GBTimeout) as err:
+        groebner_engine([g.terms for g in gens], sig, TermOrder.grevlex(sig),
+                        deadline=time.monotonic() - 1)
+    assert err.value.pairs_left == 2
+    assert last_gb_stats() == GBStats(pairs_considered=3, pairs_skipped=1)
 
 
 @pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y"))], ids=["D1", "D2"])
