@@ -14,6 +14,8 @@ Z(lambda) = int f_+^lambda phi dx.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .annihilator import build_malgrange
@@ -132,6 +134,23 @@ def _dx_monomials(sig, max_weight):
     return tuple(sorted(out, key=lambda m: (sum(m), m)))
 
 
+def _at_x_zero(groups, gamma, sig):
+    """The x-free part of dx^gamma g, which alone survives at x = 0, from the
+    groups {b: rest_b} of g = sum_b x^b rest_b (g.coefficients(xs, sig)).
+
+    By the Leibniz rule only the k = b term of dx^gamma x^b rest_b is
+    x-free, and only when b <= gamma: prod_i gamma_i!/(gamma_i-b_i)! times
+    dx^(gamma-b) rest_b.
+    """
+    dxs = tuple("d" + x for x in sig.x_names)
+    out = WeylOperator.zero(sig)
+    for b, rest in groups.items():
+        if all(map(operator.le, b, gamma)):
+            lead = sig.mono(zip(dxs, map(operator.sub, gamma, b)))
+            out = out + WeylOperator(sig, {lead: math.prod(map(math.perm, gamma, b))}) * rest
+    return out
+
+
 def restriction_data(ideal, deadline=None):
     """All data of the degree-0 restriction of D_{n+1}/ideal to x = 0."""
     sig = ideal.sig
@@ -147,23 +166,18 @@ def restriction_data(ideal, deadline=None):
         return RestrictionData(bw, None, ((0,) * sig.n_x,), empty)
     basis = _dx_monomials(sig, k0)
     index = {b: i for i, b in enumerate(basis)}
-    xs = sig.x_names
-    dxs = tuple("d" + x for x in xs)
-    at_zero = (0,) * len(xs)
+    dxs = tuple("d" + x for x in sig.x_names)
     relations = []
     for g in adapted:
         mg = g.max_weight(row)
         budget = k0 - mg
         if budget < 0:
             continue
+        groups = g.coefficients(sig.x_names, sig)
         for gamma in _dx_monomials(sig, budget):
-            shifted = WeylOperator(sig, {sig.mono(zip(dxs, gamma)): QQ1}) * g
             cols = [WeylOperator.zero(sig1)] * len(basis)
-            # x * D_{n+1} dies at x = 0: only the x-free group survives
-            survivor = shifted.coefficients(xs, sig).get(at_zero)
-            if survivor is not None:
-                for beta, col in survivor.coefficients(dxs, sig1).items():
-                    cols[index[beta]] = col
+            for beta, col in _at_x_zero(groups, gamma, sig).coefficients(dxs, sig1).items():
+                cols[index[beta]] = col
             if any(cols):
                 relations.append(tuple(cols))
     module = SubmodulePresentation.make(len(basis), sig1, relations)

@@ -7,8 +7,8 @@ and dt t = t dt + 1; in the homogenized variant the 1 on the right becomes h^2
 for a central generator h.  Elements are kept normally ordered (all x-type
 exponents recorded before d-type ones in a single exponent vector).  Operators
 and every function taking or returning them use arbitrary-precision rational
-coefficients (QQ); the Groebner engine and its normal form work fraction-free
-on Python integers and meet QQ only at that boundary.
+coefficients (QQ); operator products, the Groebner engine and its normal form
+work fraction-free on Python integers and meet QQ only at that boundary.
 
 There is one monomial format: an exponent vector packed into a single
 integer, 16 bits per slot (see _Pack), so at most MAX_EXPONENT per generator;
@@ -20,6 +20,7 @@ case as it stands.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -239,41 +240,15 @@ def _pdeg(pk, packed):
     return total
 
 
-def _mono_mul_packed(pk, A, B):
-    """Normally ordered product of packed monomials as ((packed, int), ...).
-
-    Uses d^a x^b = sum_k C(a,k) C(b,k) k! x^(b-k) d^(a-k) (h^2k) per pair;
-    B may carry a component label, which the product keeps.
-    """
-    base = A + B
-    if base & pk.guard:
-        raise OverflowError(_OVERFLOW)
-    inter = None
-    for xsh, dsh in pk.pairs:
-        a = (A >> dsh) & 0x7FFF
-        if a:
-            b = (B >> xsh) & 0x7FFF
-            if b:
-                if inter is None:
-                    inter = []
-                inter.append((xsh, dsh, a, b))
-    if inter is None:
-        return ((base, 1),)
-    hs = pk.h_shift
-    out = [(base, 1)]
-    for xsh, dsh, a, b in inter:
-        nxt = []
-        for m, c in out:
-            for k in range(min(a, b) + 1):
-                cc = c * math.comb(a, k) * math.comb(b, k) * math.factorial(k)
-                m2 = m - (k << xsh) - (k << dsh)
-                if hs is not None:
-                    m2 += (2 * k) << hs
-                    if m2 & pk.guard:
-                        raise OverflowError(_OVERFLOW)
-                nxt.append((m2, cc))
-        out = nxt
-    return out
+@functools.lru_cache(maxsize=4096)
+def _leibniz(a, b):
+    """The factors C(a,k) C(b,k) k!, k = 0 .. min(a, b), of the Leibniz rule
+    d^a x^b = sum_k C(a,k) C(b,k) k! x^(b-k) d^(a-k) (h^2k); each is the
+    one before times (a-k)(b-k)/(k+1), exactly."""
+    out = [1]
+    for k in range(min(a, b)):
+        out.append(out[-1] * (a - k) * (b - k) // (k + 1))
+    return tuple(out)
 
 
 def _term_mul_into(pk, res, coef, quot, terms, inserted=None):
@@ -281,11 +256,14 @@ def _term_mul_into(pk, res, coef, quot, terms, inserted=None):
 
     terms is a sequence of (lab, coeff); inserted (when given) collects labels
     that were newly created (updates of existing entries are not reported).
+    The d-exponents of quot are read once; for each x/d pair they meet in a
+    term, the k-th Leibniz term lies k * unit below the plain sum, unit being
+    one x and one d less (and h^2 more).
     """
     get = res.get
+    guard = pk.guard
     if quot & pk.dmask == 0:
         # no derivation exponents on the left: plain exponent addition
-        guard = pk.guard
         for lab, c in terms:
             lab2 = lab + quot
             if lab2 & guard:
@@ -302,16 +280,31 @@ def _term_mul_into(pk, res, coef, quot, terms, inserted=None):
                 else:
                     del res[lab2]
         return
+    hs = pk.h_shift
+    dpairs = [(xsh, a, (1 << xsh) + (1 << dsh) - (0 if hs is None else 2 << hs))
+              for xsh, dsh in pk.pairs if (a := (quot >> dsh) & 0x7FFF)]
     for lab, c in terms:
-        cc = coef * c
-        for lab2, k in _mono_mul_packed(pk, quot, lab):
+        base = lab + quot
+        if base & guard:
+            raise OverflowError(_OVERFLOW)
+        out = ((base, coef * c),)
+        top = 0
+        for xsh, a, unit in dpairs:
+            b = (lab >> xsh) & 0x7FFF
+            if b:
+                fs = _leibniz(a, b)
+                out = [(m - k * unit, cc * f) for m, cc in out for k, f in enumerate(fs)]
+                top += len(fs) - 1
+        if top and hs is not None and ((base >> hs) & 0x7FFF) + 2 * top > MAX_EXPONENT:
+            raise OverflowError(_OVERFLOW)
+        for lab2, v in out:
             old = get(lab2)
             if old is None:
-                res[lab2] = cc * k
+                res[lab2] = v
                 if inserted is not None:
                     inserted.append(lab2)
             else:
-                v = old + cc * k
+                v += old
                 if v:
                     res[lab2] = v
                 else:
@@ -425,11 +418,12 @@ class WeylOperator:
             return self.scale(other)
         self._check(other)
         pk = self.sig._pk
+        qa, left = _integral(self.terms)
+        qb, right = _integral(other.terms)
         res = {}
-        right = other.terms.items()
-        for m, c in self.terms.items():
-            _term_mul_into(pk, res, c, m, right)
-        return WeylOperator._of(self.sig, res)
+        for m, c in left.items():
+            _term_mul_into(pk, res, c, m, right.items())
+        return WeylOperator._of(self.sig, _rational(res, qa * qb))
 
     def __rmul__(self, other):
         if isinstance(other, (int, type(QQ0))):
@@ -709,13 +703,16 @@ def _integral(terms):
     """(q, ints): the coprime integer coefficients ints = q * terms, q > 0."""
     if not terms:
         return QQ1, {}
-    q = 1 / rational_content(terms.values())
-    return q, {m: int(c * q) for m, c in terms.items()}
+    content = rational_content(terms.values())
+    n, d = int(content.numerator), int(content.denominator)
+    return QQ(d, n), {m: int(c.numerator) * (d // int(c.denominator)) // n
+                      for m, c in terms.items()}
 
 
 def _rational(terms, q):
     """The term dict with every integer coefficient divided by q."""
-    return {m: c / q for m, c in terms.items()}
+    n, d = int(q.numerator), int(q.denominator)
+    return {m: QQ(c * d, n) for m, c in terms.items()}
 
 
 class _Reducers:
@@ -890,6 +887,16 @@ def _make_keyf(order, pk):
     return keyf
 
 
+def _lcm(pk, a, b):
+    """lcm of two labelled monomials of one component: each field is the
+    larger exponent, picked by one guarded subtraction for all fields (a
+    field's guard bit survives a - b exactly when a >= b there)."""
+    sm = pk.smask
+    am, bm = a & sm, b & sm
+    mask = ((((am | pk.guard) - bm) & pk.guard) >> (_PACK_BITS - 1)) * 0x7FFF
+    return a - am + (am & mask) + (bm & ~mask)
+
+
 def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
                     pair_components=None):
     """Reduced monic left Groebner basis of labelled term dicts.
@@ -929,13 +936,6 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         reducers.add(r)
     basis = reducers.reds
 
-    def lcm_of(a, b):
-        am, bm = a.lm, b.lm
-        out = a.comp << cs
-        for sh in pk.shifts:
-            out += max((am >> sh) & 0x7FFF, (bm >> sh) & 0x7FFF) << sh
-        return out
-
     def divides(a, b):
         d = b - a
         return d >= 0 and not (d & guard)
@@ -948,22 +948,22 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         if pair_components is not None and rj.comp not in pair_components:
             return
         formed = [i for i in range(j) if basis[i].comp == rj.comp]
+        h = rj.lm
         if pair_components is not None:
-            kept = [(i, lcm_of(basis[i], rj)) for i in formed]
+            kept = [(i, _lcm(pk, basis[i].lm, h)) for i in formed]
         else:
             # Gebauer–Möller: a queued pair whose lcm the new leading monomial
             # divides, sharing that lcm with neither end, is redundant
-            h = rj.lm
             for (i, k), l in list(queued.items()):
                 if (l >> cs == rj.comp and divides(h, l)
-                        and lcm_of(basis[i], rj) != l and lcm_of(basis[k], rj) != l):
+                        and _lcm(pk, basis[i].lm, h) != l and _lcm(pk, basis[k].lm, h) != l):
                     del queued[i, k]
                     stats.pairs_skipped += 1
             # of the new pairs, keep the lowest i per lcm, and only the lcms
             # that no other new lcm properly divides
             new = {}
             for i in formed:
-                new.setdefault(lcm_of(basis[i], rj), i)
+                new.setdefault(_lcm(pk, basis[i].lm, h), i)
             kept = [(i, l) for l, i in new.items()
                     if not any(m != l and divides(m, l) for m in new)]
         stats.pairs_considered += len(formed)
@@ -986,7 +986,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         fi, fj = basis[i], basis[j]
         if pair_components is not None and any(
                 k != i and k != j and fk.comp == fi.comp and divides(fk.lm, l)
-                and lcm_of(fi, fk) != l and lcm_of(fj, fk) != l
+                and _lcm(pk, fi.lm, fk.lm) != l and _lcm(pk, fj.lm, fk.lm) != l
                 for k, fk in enumerate(basis)):
             # chain criterion, stateless proper-divisor form
             stats.pairs_skipped += 1

@@ -267,7 +267,7 @@ def _ex4_reference_operator():
 
 @pytest.mark.slow
 @pytest.mark.skipif(not run_slow(), reason="expected-slow, gated to keep the default "
-                    "suite fast (HOLOZETA_SLOW=1 to run); the full pipeline took 103 s "
+                    "suite fast (HOLOZETA_SLOW=1 to run); the full pipeline took 85-97 s "
                     "on a 2-core VM with Python 3.11 and no gmpy2, inside the "
                     "criterion's 30-minute budget")
 def test_criterion_09_ex4_difference(inst_ex4):

@@ -2,7 +2,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from holozeta import (
@@ -154,6 +154,27 @@ def test_minimal_polynomial_matches_elimination_random(terms):
     inst = _instance_d2(lambda x, y: sum(c * x ** a * y ** b for (a, b), c in terms),
                         "dx", "dy")
     _assert_routes_agree(inst)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@seed(20261019)
+@given(st.lists(st.tuples(st.sampled_from(_MONOS), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                min_size=1, max_size=3, unique_by=lambda t: t[0]))
+def test_bfunction_roots_in_minus_n_zero_and_s_plus_1_divides(terms):
+    # Kashiwara: the roots of b are negative rationals, in (-n, 0); phi = 1,
+    # so f^(s+1) = f f^s gives the factor s + 1
+    inst = _instance_d2(lambda x, y: sum(c * x ** a * y ** b for (a, b), c in terms),
+                        "dx", "dy")
+    try:
+        # a few tiny inputs take seconds (the engine's long tail)
+        deadline = time.monotonic() + 1
+        bf = bfunction(ann_fs(inst, deadline), inst.f, deadline)
+    except GBTimeout:
+        reject()
+    assert bf.nonrational_part == UPoly.one()
+    assert sum(m for _r, m in bf.rational_roots) == bf.degree
+    assert all(-2 < r < 0 for r, _m in bf.rational_roots)
+    assert not bf.poly.divmod(UPoly((1, 1)))[1]
 
 
 def test_bfunction_structure_roundtrip(inst_cusp):

@@ -23,7 +23,13 @@ from holozeta import (
     weight_bfunction,
     zeta_difference,
 )
-from holozeta.integration import NotHolonomic, mellin_raw
+from holozeta.integration import (
+    NotHolonomic,
+    _at_x_zero,
+    _dx_monomials,
+    mellin_raw,
+    w_adapted_basis,
+)
 
 from conftest import difference_member, is_unit
 
@@ -111,6 +117,38 @@ def test_restriction_data_shape(inst_gamma):
     assert rd.k0 == 0
     assert rd.basis == ((0,),)
     assert len(rd.relations.generators) >= 1
+
+
+def _at_x_zero_by_product(g, gamma):
+    """The x-free group of the full product dx^gamma g."""
+    sig = g.sig
+    dx_gamma = W(sig, {sig.mono(zip(("d" + x for x in sig.x_names), gamma)): 1})
+    return (dx_gamma * g).coefficients(sig.x_names, sig).get((0,) * sig.n_x, W.zero(sig))
+
+
+def _assert_restriction_matches_product(gens, max_weight):
+    for g in gens:
+        sig = g.sig
+        groups = g.coefficients(sig.x_names, sig)
+        for gamma in _dx_monomials(sig, max_weight):
+            assert _at_x_zero(groups, gamma, sig) == _at_x_zero_by_product(g, gamma)
+
+
+def test_restriction_survivor_matches_full_product_random():
+    rng = random.Random(23)
+    for sig in (d_np1(("x",)), d_np1(("x", "y"))):
+        gens = []
+        for _ in range(30):
+            g = rand_op(sig, rng, max_terms=4, max_deg=4)
+            gens.append(g * QQ(rng.randint(1, 9), rng.randint(1, 9)))
+        _assert_restriction_matches_product(gens, 4)
+
+
+def test_restriction_survivor_matches_full_product_shipped(
+        inst_gamma, inst_ex3, inst_cusp, inst_cusp_gauss):
+    for inst in (inst_gamma, inst_ex3, inst_cusp, inst_cusp_gauss):
+        adapted = w_adapted_basis(fourier_transform(build_malgrange(inst)))
+        _assert_restriction_matches_product(adapted, 3)
 
 
 def test_weight_bfunction_not_holonomic_error():

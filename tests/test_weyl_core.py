@@ -34,6 +34,7 @@ from holozeta.weyl_core import (
     MAX_EXPONENT,
     GBStats,
     GBTimeout,
+    _lcm,
     _make_keyf,
     _pack,
     _pdeg,
@@ -69,8 +70,9 @@ def _word_normal_order(sig, word, coeff):
                 return i
         return None
 
-    conj = dict(sig.pairs)  # x_slot -> d_slot
     dconj = {d: x for x, d in sig.pairs}
+    # d x = x d + 1, or x d + h^2 in the homogenized algebra
+    unit = [sig.h_slot] * 2 if sig.homogenized else []
     while pending:
         w, c = pending.pop()
         i = first_violation(w)
@@ -90,7 +92,7 @@ def _word_normal_order(sig, word, coeff):
         swapped = w[:i] + [b, a] + w[i + 2:]
         pending.append((swapped, c))
         if dconj.get(a) == b:
-            pending.append((w[:i] + w[i + 2:], c))
+            pending.append((w[:i] + unit + w[i + 2:], c))
     return done
 
 
@@ -114,7 +116,7 @@ def brute_multiply(p, q):
     return W(sig, res)
 
 
-def rand_op(sig, rng, max_terms=3, max_deg=3):
+def rand_op(sig, rng, max_terms=3, max_deg=3, dens=(1,)):
     out = W.zero(sig)
     for _ in range(rng.randint(1, max_terms)):
         mono = [0] * sig.nslots
@@ -122,7 +124,7 @@ def rand_op(sig, rng, max_terms=3, max_deg=3):
             mono[rng.randrange(sig.nslots)] += 1
         c = rng.randint(-4, 4)
         if c:
-            out = out + W(sig, {tuple(mono): QQ(c)})
+            out = out + W(sig, {tuple(mono): QQ(c, rng.choice(dens))})
     return out
 
 
@@ -175,10 +177,29 @@ def test_ring_axioms_200_random_cases():
 
 def test_multiply_matches_brute_force_random():
     rng = random.Random(7)
-    sig = RingSignature(("x",), has_t=True)
-    for _ in range(40):
-        a, b = rand_op(sig, rng, max_deg=2), rand_op(sig, rng, max_deg=2)
-        assert a * b == brute_multiply(a, b)
+    for sig, dens, max_deg in (
+            (RingSignature(("x",), has_t=True), (1,), 2),
+            # two interacting pairs and rational coefficients
+            (d_n_s(("x", "y")), (1, 2, 3, 5), 4),
+            # the h^2k term of the homogenized Leibniz rule
+            (RingSignature(("x", "y"), extras=("s",), homogenized=True), (1, 2, 3, 5), 4)):
+        for _ in range(40):
+            a = rand_op(sig, rng, max_terms=4, max_deg=max_deg, dens=dens)
+            b = rand_op(sig, rng, max_terms=4, max_deg=max_deg, dens=dens)
+            assert a * b == brute_multiply(a, b)
+
+
+def test_lcm_is_the_fieldwise_max():
+    sig = RingSignature(("x", "y"), extras=("s",), homogenized=True)
+    pk = sig._pk
+    rng = random.Random(11)
+    values = [0, 1, 2, 3, MAX_EXPONENT - 1, MAX_EXPONENT]
+    for _ in range(500):
+        comp = rng.randrange(4) << pk.cshift
+        a, b = ([rng.choice(values) for _ in range(sig.nslots)] for _ in range(2))
+        got = _lcm(pk, _pack(pk, a) + comp, _pack(pk, b) + comp)
+        assert got >> pk.cshift == comp >> pk.cshift
+        assert _unpack(pk, got) == tuple(map(max, a, b))
 
 
 def test_exponent_overflow_raises():
