@@ -4,7 +4,9 @@ The integral module D_{n+1}/(J + dx_1 D_{n+1} + ... + dx_n D_{n+1}) is the
 restriction to x = 0 of the Fourier transform of J (x_j -> dx_j,
 dx_j -> -x_j, t and dt fixed).  The restriction is computed the standard way:
 a w-adapted Groebner basis for the weight w(x) = -1, w(dx) = +1 obtained
-through Bernstein homogenization, the weight b-function b_w(theta) as the
+through Bernstein homogenization (a grevlex basis of the homogenized ideal
+comes first: its Hilbert function, which no order changes, lets the weighted
+run skip the S-pairs that reduce to zero), the weight b-function b_w(theta) as the
 minimal polynomial of theta = sum x_j dx_j modulo in_w(J) (linear algebra on
 normal forms against one grevlex basis), truncation at the largest
 nonnegative integer root k0, and an exact module elimination over
@@ -80,6 +82,7 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     Generators are Bernstein-homogenized; the graded engine runs with the
     weight row first and h scanned last in the grevlex tiebreak, and the
     result is dehomogenized.  Initial forms of the output generate in_w.
+    The leading monomials of a grevlex basis are the weighted run's target.
     """
     sig = ideal.sig
     hsig = sig.homogenize()
@@ -87,7 +90,9 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     order = TermOrder(hsig, weight_rows=[row])
     ones = dict.fromkeys(hsig.names, 1)
     hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in ideal.generators])
-    dehomogenized = (g.subs_extra("h", 1, sig) for g in hideal.basis(order, deadline, stage))
+    grevlex = hideal.reducers(deadline, stage="w-adapted-basis-grevlex")
+    gb = hideal.basis(order, deadline, stage, hilbert_target=[r.lm for r in grevlex.reds])
+    dehomogenized = (g.subs_extra("h", 1, sig) for g in gb)
     return [g for g in dehomogenized if g]
 
 

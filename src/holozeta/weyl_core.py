@@ -897,8 +897,50 @@ def _lcm(pk, a, b):
     return a - am + (am & mask) + (bm & ~mask)
 
 
+def _hilbert_numerator(pk, monos):
+    """Coefficients of N, trailing zeros stripped, in sum_d dim (S/I)_d t^d =
+    N(t) / (1 - t)^n for the monomial ideal I of S = Q[n slots] that packed
+    monomials of one component generate.
+
+    Bigatti's pivot rule N(I) = N(I + <p>) + t^deg(p) N(I : p), with p the
+    power of the slot that most mixed generators (two or more slots) use, at
+    the median of their exponents there.  A minimal generator dividing p is a
+    power of that slot above every mixed exponent there, so p is not in I,
+    both ideals grow, and the recursion ends: at pairwise-disjoint supports,
+    where N = prod (1 - t^deg m).
+    """
+    guard = pk.guard
+    gens = []                  # the minimal generators; a divisor sorts first
+    for m in sorted(set(monos)):
+        if all((m - g) & guard for g in gens):
+            gens.append(m)
+    fill = guard - (guard >> (_PACK_BITS - 1))           # 0x7FFF in every field
+    supports = [(m + fill) & guard for m in gens]        # guard bits of nonzero fields
+    if sum(s.bit_count() for s in supports) == functools.reduce(
+            operator.or_, supports, 0).bit_count():
+        out = [1]
+        for m in gens:                                   # times 1 - t^deg m
+            k = _pdeg(pk, m)
+            out += [0] * k
+            for i in range(len(out) - 1, k - 1, -1):
+                out[i] -= out[i - k]
+    else:
+        mixed = [m for m, s in zip(gens, supports) if s & (s - 1)]
+        sh = max(pk.shifts, key=lambda sh: sum(1 for m in mixed if (m >> sh) & 0x7FFF))
+        exps = sorted(e for e in ((m >> sh) & 0x7FFF for m in mixed) if e)
+        e = exps[len(exps) // 2]
+        out = _hilbert_numerator(pk, gens + [e << sh])
+        colon = _hilbert_numerator(pk, [_lcm(pk, m, e << sh) - (e << sh) for m in gens])
+        out += [0] * (e + len(colon) - len(out))
+        for k, c in enumerate(colon, e):
+            out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
-                    pair_components=None):
+                    pair_components=None, hilbert_target=None):
     """Reduced monic left Groebner basis of labelled term dicts.
 
     Input and output dicts map labelled packed monomials (the component in
@@ -920,12 +962,25 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     when it is popped, so the payload does not depend on the update.
     stats.pairs_considered counts the pairs formed and pairs_skipped those
     a criterion dropped; the rest were reduced.
+
+    hilbert_target, for input homogeneous in total degree, is the packed
+    leading monomials of a Groebner basis of the same ideal under another
+    order (Traverso's Hilbert-driven Buchberger): the ideal's degree-d part
+    has as many dimensions whatever the order, so once <lm G> holds as many
+    degree-d monomials as the target, every S-pair of degree d reduces to
+    zero and is skipped.  The final leading ideal must have the target's
+    Hilbert numerator; the target of a larger ideal raises.
     """
     global _LAST_STATS
     stats = GBStats()
     _LAST_STATS = stats
     pk = sig._pk
     _check_weight_admissibility(gens, order, pk)
+    if hilbert_target is not None:
+        if any(len({_pdeg(pk, m) for m in g}) > 1 for g in gens):
+            raise NonHomogeneousInput("a Hilbert target needs homogeneous input")
+        target = _hilbert_numerator(pk, hilbert_target)
+        gap, grown = [], -1    # N(<lm G>) - N(target), as of len(basis) == grown
     keyf = _make_keyf(order, pk)
     guard = pk.guard
     cs = pk.cshift
@@ -983,6 +1038,17 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         sugar, lkey, i, j, l = heapq.heappop(pairs)
         if queued.pop((i, j), None) is None:
             continue
+        if hilbert_target is not None:
+            if grown != len(basis):
+                grown = len(basis)
+                gap = [a - b for a, b in itertools.zip_longest(
+                    _hilbert_numerator(pk, [r.lm for r in basis]), target, fillvalue=0)]
+            # dim (S/<lm G>)_d - dim (S/<target>)_d, from the coefficients of
+            # 1 / (1 - t)^n
+            n, d = len(pk.shifts), _pdeg(pk, l)
+            if not sum(c * math.comb(d - k + n - 1, n - 1) for k, c in enumerate(gap[:d + 1])):
+                stats.pairs_skipped += 1
+                continue
         fi, fj = basis[i], basis[j]
         if pair_components is not None and any(
                 k != i and k != j and fk.comp == fi.comp and divides(fk.lm, l)
@@ -1003,11 +1069,15 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
         else:
             stats.zero_reductions += 1
 
-    # minimalize: in key order, keep the elements no kept one divides
+    # minimalize: by degree, then key, keep the elements no kept one divides
+    # (a divisor has the lower degree; under a negative weight, not the lower key)
     kept = _Reducers(keyf, pk)
-    for r in sorted(basis, key=lambda r: r.key):
+    for r in sorted(basis, key=lambda r: (_pdeg(pk, r.lm), r.key)):
         if not any(divides(k.lm, r.lm) for k in kept.scan.get(r.comp, ())):
             kept.add(r)
+    if hilbert_target is not None and _hilbert_numerator(
+            pk, [r.lm for r in kept.reds]) != target:
+        raise AssertionError("the leading ideal does not have the Hilbert target's numerator")
     # tail-reduce each against the others
     reduced = []
     for r in kept.reds:
@@ -1069,12 +1139,14 @@ class _Presentation:
         if grevlex_basis is not None:
             self._bases[TermOrder.grevlex(sig)] = tuple(grevlex_basis)
 
-    def basis(self, order=None, deadline=None, stage="groebner"):
-        """The reduced Groebner basis under order (grevlex by default)."""
+    def basis(self, order=None, deadline=None, stage="groebner", hilbert_target=None):
+        """The reduced Groebner basis under order (grevlex by default);
+        hilbert_target as in groebner_engine."""
         order = order or TermOrder.grevlex(self.sig)
         if order not in self._bases:
             gb = groebner_engine([self._terms(g) for g in self.generators],
-                                 self.sig, order, deadline, stage)
+                                 self.sig, order, deadline, stage,
+                                 hilbert_target=hilbert_target)
             self._bases[order] = tuple(self._of(t) for t in gb)
         return self._bases[order]
 

@@ -92,10 +92,6 @@ def reducer_builds(monkeypatch):
     return builds
 
 
-def run_slow():
-    return os.environ.get("HOLOZETA_SLOW", "") not in ("", "0")
-
-
 # ---------------------------------------------------------------------------
 # checks that only the tests need
 # ---------------------------------------------------------------------------

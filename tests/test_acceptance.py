@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
-with its runtime (run with -s to see them).  Criterion 9 is expected-slow;
-enable it with HOLOZETA_SLOW=1.  For criterion 5 at k = -1 the quoted
-expected generator carries a sign typo (z^2 dz - z cannot annihilate the
-coefficient, z^2 dz + z does); the literal assertion is kept and marked
-xfail, and the corrected ideal is asserted exactly alongside.
+with its runtime (run with -s to see them).  Criterion 9 is the slowest,
+15-17 s on a 2-core VM; -m "not slow" leaves it out.  For criterion 5 at
+k = -1 the quoted expected generator carries a sign typo (z^2 dz - z cannot
+annihilate the coefficient, z^2 dz + z does); the literal assertion is kept
+and marked xfail, and the corrected ideal is asserted exactly alongside.
 """
 import contextlib
 import time
@@ -11,7 +11,7 @@ import time
 import mpmath
 import pytest
 
-from conftest import difference_member, run_slow, same_ideal
+from conftest import difference_member, same_ideal
 
 from holozeta import (
     QQ,
@@ -266,10 +266,6 @@ def _ex4_reference_operator():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not run_slow(), reason="expected-slow, gated to keep the default "
-                    "suite fast (HOLOZETA_SLOW=1 to run); the full pipeline took 85-97 s "
-                    "on a 2-core VM with Python 3.11 and no gmpy2, inside the "
-                    "criterion's 30-minute budget")
 def test_criterion_09_ex4_difference(inst_ex4):
     with criterion(9, "Ex4: order <= 11, trailing (s+1)...(s+9)", 1800):
         ops = zeta_difference(inst_ex4)

@@ -241,9 +241,10 @@ def test_timeout_reaches_every_engine_call(argv, monkeypatch, capsys):
     from holozeta import weyl_core
     deadlines, engine = [], weyl_core.groebner_engine
 
-    def spy(gens, sig, order, deadline=None, stage="groebner", pair_components=None):
+    def spy(gens, sig, order, deadline=None, stage="groebner", pair_components=None,
+            **kwargs):
         deadlines.append((stage, deadline))
-        return engine(gens, sig, order, deadline, stage, pair_components)
+        return engine(gens, sig, order, deadline, stage, pair_components, **kwargs)
     monkeypatch.setattr(weyl_core, "groebner_engine", spy)
     assert run([argv[0], prob(argv[1]), *argv[2:], "--timeout", "1000"]) == 0
     capsys.readouterr()

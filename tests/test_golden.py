@@ -59,8 +59,9 @@ def _run(command, problem, flags):
     calls = []
     engine = weyl_core.groebner_engine
 
-    def counted(gens, sig, order, deadline=None, stage="groebner", pair_components=None):
-        basis = engine(gens, sig, order, deadline, stage, pair_components)
+    def counted(gens, sig, order, deadline=None, stage="groebner", pair_components=None,
+                **kwargs):
+        basis = engine(gens, sig, order, deadline, stage, pair_components, **kwargs)
         stats = weyl_core.last_gb_stats()
         calls.append([stage] + [getattr(stats, c) for c in COUNTERS])
         return basis

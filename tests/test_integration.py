@@ -218,6 +218,23 @@ def test_zeta_difference_half_line_gaussian():
     assert difference_member(target, ops)
 
 
+@pytest.mark.parametrize("names,f,expected", [
+    # Z = pi Gamma(s+1)
+    (("x", "y"), lambda x, y: x * x + y * y, "E - (s+1)"),
+    # Z = 2 pi Gamma(s+3/2)
+    (("x", "y", "z"), lambda x, y, z: x * x + y * y + z * z, "2*E - (2s+3)"),
+    # Z = 4 (Gamma((s+1)/2) / 2)^3, over the four octants where xyz > 0
+    (("x", "y", "z"), lambda x, y, z: x * y * z, "8*E^2 - (s^3+3s^2+3s+1)"),
+], ids=["x2+y2", "x2+y2+z2", "xyz"])
+def test_zeta_difference_gaussian_closed_forms(names, f, expected):
+    # phi = exp(-|x|^2) in two and three variables
+    sig = d_n(names)
+    xs = [W.gen(sig, n) for n in names]
+    ann = [W.gen(sig, "d" + n) + 2 * x for n, x in zip(names, xs)]
+    ops = zeta_difference(ProblemInstance.make(names, f(*xs), ann))
+    assert [op.to_str() for op in ops] == [expected]
+
+
 def test_zeta_difference_ex3(inst_ex3):
     ops = zeta_difference(inst_ex3)
     target = DifferenceOperator({2: UPoly.one(), 1: UPoly((-2, -1)), 0: UPoly((-1,))})

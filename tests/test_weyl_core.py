@@ -1,7 +1,9 @@
 """Ring axioms, normal forms and Groebner bases, checked against a
 brute-force single-step rewriter where a second opinion is available."""
 import heapq
+import itertools
 import math
+import operator
 import random
 import time
 
@@ -30,10 +32,12 @@ from holozeta import (
     represent,
 )
 from holozeta.bfunction import BFunction
+from holozeta.integration import _w_row
 from holozeta.weyl_core import (
     MAX_EXPONENT,
     GBStats,
     GBTimeout,
+    _hilbert_numerator,
     _lcm,
     _make_keyf,
     _pack,
@@ -388,9 +392,10 @@ def test_presentations_keep_one_basis_per_order(monkeypatch):
     import holozeta.weyl_core as wc
     stages, engine = [], wc.groebner_engine
 
-    def counted(gens, sig, order, deadline=None, stage="groebner", pair_components=None):
+    def counted(gens, sig, order, deadline=None, stage="groebner", pair_components=None,
+                **kwargs):
         stages.append(stage)
-        return engine(gens, sig, order, deadline, stage, pair_components)
+        return engine(gens, sig, order, deadline, stage, pair_components, **kwargs)
     monkeypatch.setattr(wc, "groebner_engine", counted)
     sig = d_n(("x", "y"))
     x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
@@ -926,10 +931,12 @@ def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadlin
             push_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
-    kept = []
-    for r in sorted(basis, key=lambda r: r.key):
-        if not any(k.comp == r.comp and _ref_divides(pk, k.lm, r.lm) for k in kept):
-            kept.append(r)
+    # an element stays unless another leading monomial divides its own,
+    # properly or as an earlier copy (whatever their keys: a negative
+    # weight can put a multiple first)
+    kept = [r for a, r in enumerate(basis)
+            if not any(k.comp == r.comp and _ref_divides(pk, k.lm, r.lm)
+                       and (k.lm != r.lm or b < a) for b, k in enumerate(basis) if b != a)]
     reduced = []
     for r in kept:
         rem = _ref_nf(dict(r.terms), [k for k in kept if k is not r], pk, key)
@@ -1038,6 +1045,107 @@ def test_timeout_counts_live_pairs_only():
                         deadline=time.monotonic() - 1)
     assert err.value.pairs_left == 2
     assert last_gb_stats() == GBStats(pairs_considered=3, pairs_skipped=1)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-driven Buchberger
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x_names", [("x",), ("x", "y")], ids=["5 slots", "7 slots"])
+def test_hilbert_numerator_counts_monomials(x_names):
+    # dim (S/I)_d read off the numerator against a count of the degree-d
+    # monomials no generator divides, and the whole numerator against
+    # inclusion-exclusion over the generators' lcms, on random monomial
+    # ideals of the homogenized signatures and on the unit ideal
+    sig = RingSignature(x_names, has_t=True, homogenized=True)
+    pk, n = sig._pk, sig.nslots
+    rng = random.Random(n)
+    for trial in range(30):
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]
+        if trial == 0:
+            gens.append((0,) * n)
+        num = _hilbert_numerator(pk, [_pack(pk, g) for g in gens])
+        for d in range(8):
+            monos = (tuple(c.count(i) for i in range(n))
+                     for c in itertools.combinations_with_replacement(range(n), d))
+            free = sum(1 for m in monos
+                       if not any(all(map(operator.le, g, m)) for g in gens))
+            assert free == sum(c * math.comb(d - k + n - 1, n - 1)
+                               for k, c in enumerate(num[:d + 1]))
+        taylor = {}
+        for size in range(len(gens) + 1):
+            for subset in itertools.combinations(gens, size):
+                deg = sum(map(max, zip((0,) * n, *subset)))
+                taylor[deg] = taylor.get(deg, 0) + (-1) ** size
+        assert num == [taylor.get(k, 0) for k in range(len(num))]
+        assert not any(c for k, c in taylor.items() if k >= len(num))
+    assert _hilbert_numerator(pk, [0, _pack(pk, (1,) * n)]) == []
+
+
+def _homogenized_w_order(x_names):
+    hsig = d_np1(x_names).homogenize()
+    return hsig, TermOrder(hsig, weight_rows=[_w_row(hsig)])
+
+
+def _grevlex_leading_monomials(gens, sig):
+    order = TermOrder.grevlex(sig)
+    keyf = _make_keyf(order, sig._pk)
+    return [max(g, key=keyf) for g in groebner_engine(gens, sig, order)]
+
+
+@pytest.mark.parametrize("x_names", [("x",), ("x", "y")], ids=["5 slots", "7 slots"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hilbert_driven_engine_matches_plain_and_reference(x_names, data):
+    # Bernstein-homogenized random ideals under the w-row order, as in the
+    # w-adapted basis: the run with the grevlex leading monomials as its
+    # target returns the plain run's basis, and the reference's, with no
+    # more zero reductions
+    hsig, order = _homogenized_w_order(x_names)
+    ones = dict.fromkeys(hsig.names, 1)
+    gens = [g.homogenize("h", ones, hsig).terms for g in data.draw(_generators(d_np1(x_names)))]
+    try:
+        target = _grevlex_leading_monomials(gens, hsig)
+        plain = groebner_engine(gens, hsig, order, deadline=time.monotonic() + 1)
+        plain_zero = last_gb_stats().zero_reductions
+        driven = groebner_engine(gens, hsig, order, deadline=time.monotonic() + 1,
+                                 hilbert_target=target)
+        stats = last_gb_stats()
+        ref = _ref_groebner(gens, hsig, order, deadline=time.monotonic() + 2)[0]
+    except GBTimeout:
+        reject()
+    assert driven == plain == ref
+    assert stats.zero_reductions <= plain_zero
+
+
+def test_minimal_basis_under_a_negative_weight():
+    # 1 divides x, whose key is the lower under the w-row order: the basis
+    # keeps 1 alone, where a minimalization in key order kept both
+    hsig, order = _homogenized_w_order(("x",))
+    one, x = W.one(hsig), W.gen(hsig, "x")
+    assert groebner_engine([one.terms, x.terms], hsig, order) == [one.terms]
+
+
+def test_hilbert_target_refuses_non_homogeneous_input():
+    hsig, order = _homogenized_w_order(("x",))
+    x, dx, h = (W.gen(hsig, n) for n in ("x", "dx", "h"))
+    with pytest.raises(NonHomogeneousInput):
+        groebner_engine([(x * dx + h).terms], hsig, order, hilbert_target=[])
+
+
+def test_wrong_hilbert_target_raises():
+    # the target of a larger ideal has fewer degree-d monomials outside its
+    # leading ideal than this one ever reaches: no pair is skipped wrongly,
+    # and the final check refuses to return the basis
+    hsig, order = _homogenized_w_order(("x",))
+    x, dx, t, dt, h = (W.gen(hsig, n) for n in ("x", "dx", "t", "dt", "h"))
+    gens = [(dx * dx + x * h).terms, (t * dt - x * dx).terms]
+    larger = _grevlex_leading_monomials(gens + [(t * h).terms], hsig)
+    assert groebner_engine(gens, hsig, order,
+                           hilbert_target=_grevlex_leading_monomials(gens, hsig))
+    with pytest.raises(AssertionError, match="Hilbert target"):
+        groebner_engine(gens, hsig, order, hilbert_target=larger)
 
 
 @pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y"))], ids=["D1", "D2"])
