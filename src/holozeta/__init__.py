@@ -28,6 +28,7 @@ from .weyl_core import (
     minimal_polynomial,
     normal_form,
     represent,
+    time_limit,
 )
 from .upoly import UPoly
 from .annihilator import (

@@ -161,7 +161,7 @@ def psi_dehomogenize(P):
     return out, (nu if m_w <= 0 else -nu)
 
 
-def ann_fs(inst, deadline=None):
+def ann_fs(inst):
     """Generators of Ann_{D_n[s]}(f^s (x) u), via sigma/tau elimination."""
     J = build_malgrange(inst)
     hom = [homogenize_w(g) for g in J.generators]
@@ -169,7 +169,7 @@ def ann_fs(inst, deadline=None):
     sigma = WeylOperator.gen(sig_st, "sigma")
     tau = WeylOperator.gen(sig_st, "tau_h")
     Jp = IdealPresentation(sig_st, hom + [WeylOperator.one(sig_st) - sigma * tau])
-    J2 = eliminate(Jp, ("sigma", "tau_h"), deadline=deadline, stage="sigma-tau-elimination")
+    J2 = eliminate(Jp, ("sigma", "tau_h"), stage="sigma-tau-elimination")
     row = _weight_row(J2.sig)
     gens = []
     for g in J2.basis():

@@ -101,23 +101,23 @@ class FunctionalEquation:
     P0: WeylOperator
     shift: int = 1
 
-    def check(self, ann, f, deadline=None):
+    def check(self, ann, f):
         """P0 * f^shift - b(s) must lie in the annihilator ideal."""
         sig_s = self.P0.sig
         lhs = self.P0 * f.embed(sig_s) ** self.shift - self.b.as_operator(sig_s)
-        return ann.contains(lhs, deadline)
+        return ann.contains(lhs)
 
 
-def bfunction(ann, f, deadline=None):
+def bfunction(ann, f):
     """Monic generator of C[s] cap (ann + D_n[s] f)."""
     sig_s = ann.sig
     ideal = IdealPresentation(sig_s, list(ann.generators) + [f.embed(sig_s)])
-    b = minimal_polynomial(WeylOperator.gen(sig_s, "s"), ideal, deadline,
+    b = minimal_polynomial(WeylOperator.gen(sig_s, "s"), ideal,
                            stage="b-function-elimination")
     return BFunction.from_upoly(b)
 
 
-def functional_operator(ann, f, b, deadline=None):
+def functional_operator(ann, f, b):
     """A P0 with P0(s)(f^(s+1) (x) u) = b(s) f^s (x) u.
 
     Found as the f-cofactor of an exact representation of b(s) over
@@ -128,11 +128,11 @@ def functional_operator(ann, f, b, deadline=None):
     fs = f.embed(sig_s)
     gens = list(ann.generators) + [fs]
     target = b.as_operator(sig_s)
-    cof = represent(target, gens, deadline=deadline, stage="functional-operator")
+    cof = represent(target, gens, stage="functional-operator")
     if cof is None:
         raise NotInIdeal("b(s) is not in ann + D_n[s] f")
     eqn = FunctionalEquation(b, cof[-1], 1)
-    if not eqn.check(ann, fs, deadline):
+    if not eqn.check(ann, fs):
         raise AssertionError("internal error: functional equation fails its invariant")
     return eqn
 

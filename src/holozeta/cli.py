@@ -3,8 +3,9 @@
 Commands: ann-fs, bfun, funceq, laurent, zeta-diff, verify.  Problem files
 are declarative "key: value" documents; all results are emitted as canonical
 strings (print/parse round trips exactly) plus an optional JSON document.
-Exit codes: 0 success, 2 timeout (one --timeout deadline covers the whole
-command), 3 input error (usage, syntax, exponents above MAX_EXPONENT, the
+Exit codes: 0 success, 2 timeout (--timeout runs the whole command under one
+time_limit, which every Groebner computation checks; a command that ends past
+it exits 2 too), 3 input error (usage, syntax, exponents above MAX_EXPONENT, the
 problem instance or Laurent request checks), 4 internal failure; a failure
 prints one line on stderr, no traceback.
 """
@@ -38,6 +39,7 @@ from .weyl_core import (
     WeylOperator,
     d_n,
     last_gb_stats,
+    time_limit,
 )
 
 
@@ -315,9 +317,9 @@ def _parse_rational(text, line=None):
 # result documents
 # ---------------------------------------------------------------------------
 
-def _canonical_strings(ideal, deadline):
+def _canonical_strings(ideal):
     order = TermOrder.grevlex(ideal.sig)
-    return [g.to_str(order) for g in ideal.basis(deadline=deadline)]
+    return [g.to_str(order) for g in ideal.basis()]
 
 
 def _emit(doc, args, wall):
@@ -352,9 +354,8 @@ def _emit(doc, args, wall):
 
 def _run_ann_fs(args, prob):
     inst = prob.instance(strict=False)
-    ann = ann_fs(inst, deadline=args.deadline)
-    doc = {"command": "ann-fs", "stage": "ann-fs",
-           "generators": _canonical_strings(ann, args.deadline)}
+    ann = ann_fs(inst)
+    doc = {"command": "ann-fs", "stage": "ann-fs", "generators": _canonical_strings(ann)}
     if not prob.assume_saturated:
         doc["note"] = ("assume_saturated is false: the generators annihilate "
                        "f^s (x) u for the f-saturation of D_n/I")
@@ -363,8 +364,8 @@ def _run_ann_fs(args, prob):
 
 def _run_bfun(args, prob):
     inst = prob.instance()
-    ann = ann_fs(inst, deadline=args.deadline)
-    b = bfunction(ann, inst.f, deadline=args.deadline)
+    ann = ann_fs(inst)
+    b = bfunction(ann, inst.f)
     return {"command": "bfun", "stage": "b-function",
             "bfunction": {"monic": b.poly.to_str(),
                           "factored": b.factored_str()}}
@@ -372,9 +373,9 @@ def _run_bfun(args, prob):
 
 def _run_funceq(args, prob):
     inst = prob.instance()
-    ann = ann_fs(inst, deadline=args.deadline)
-    b = bfunction(ann, inst.f, deadline=args.deadline)
-    eqn = functional_operator(ann, inst.f, b, deadline=args.deadline)
+    ann = ann_fs(inst)
+    b = bfunction(ann, inst.f)
+    eqn = functional_operator(ann, inst.f, b)
     return {"command": "funceq", "stage": "functional-equation",
             "bfunction": {"monic": b.poly.to_str(), "factored": b.factored_str()},
             "P0": eqn.P0.to_str()}
@@ -387,17 +388,17 @@ def _run_laurent(args, prob):
     if lambda0 is None or k is None:
         raise InputError("laurent needs lambda0 and k (file keys or flags)")
     req = LaurentRequest(inst, lambda0, int(k))
-    system = ann_laurent(req, deadline=args.deadline)
+    system = ann_laurent(req)
     return {"command": "laurent", "stage": "laurent-annihilator",
             "lambda0": str(QQ(lambda0)), "k": int(k),
             "pole_order_bound": system.l, "shift_m": system.m,
             "b": system.b.factored_str(),
-            "generators": _canonical_strings(system.ann_w, args.deadline)}
+            "generators": _canonical_strings(system.ann_w)}
 
 
 def _run_zeta_diff(args, prob):
     inst = prob.instance()
-    ops = zeta_difference(inst, deadline=args.deadline)
+    ops = zeta_difference(inst)
     doc = {"command": "zeta-diff", "stage": "zeta-difference",
            "difference_operators": [op.to_str() for op in ops]}
     g = difference_gcrd(ops)
@@ -407,11 +408,11 @@ def _run_zeta_diff(args, prob):
 
 def _run_verify(args, prob):
     inst = prob.instance()
-    ann = ann_fs(inst, deadline=args.deadline)
-    section = LogSection.fs(inst, deadline=args.deadline)
-    sound = all(annihilates(g, section) for g in ann.basis(deadline=args.deadline))
-    b = bfunction(ann, inst.f, deadline=args.deadline)
-    eqn = functional_operator(ann, inst.f, b, deadline=args.deadline)
+    ann = ann_fs(inst)
+    section = LogSection.fs(inst)
+    sound = all(annihilates(g, section) for g in ann.basis())
+    b = bfunction(ann, inst.f)
+    eqn = functional_operator(ann, inst.f, b)
     lhs = apply_log_section(eqn.P0, apply_log_section(inst.f, section))
     rhs = apply_log_section(b.as_operator(inst.sig_s), section)
     funceq_ok = (lhs - rhs).is_zero()
@@ -420,7 +421,7 @@ def _run_verify(args, prob):
            "functional_equation_holds": bool(funceq_ok),
            "bfunction": {"monic": b.poly.to_str(), "factored": b.factored_str()}}
     if prob.phi and len(prob.vars) <= 2:
-        ops = zeta_difference(inst, deadline=args.deadline)
+        ops = zeta_difference(inst)
         order = max(op.max_power for op in ops)
         lams = list(range(0, 7 + order))
         box = PHI_FAMILIES[prob.phi] if args.box is None else args.box
@@ -493,14 +494,14 @@ def run(argv=None):
               file=sys.stderr)
         return 3
     t0 = time.monotonic()
-    args.deadline = None if args.timeout is None else t0 + args.timeout
     try:
         prob = ProblemFile.load(args.problem)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     try:
-        doc = _COMMANDS[args.command](args, prob)
+        with time_limit(None if args.timeout is None else t0 + args.timeout):
+            doc = _COMMANDS[args.command](args, prob)
     except GBTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return 2

@@ -76,7 +76,7 @@ def _w_row(sig):
     return tuple(w.get(name, 0) for name in sig.names)
 
 
-def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
+def w_adapted_basis(ideal, stage="w-adapted-basis"):
     """Groebner basis of the ideal adapted to the restriction weight.
 
     Generators are Bernstein-homogenized; the graded engine runs with the
@@ -90,8 +90,8 @@ def w_adapted_basis(ideal, deadline=None, stage="w-adapted-basis"):
     order = TermOrder(hsig, weight_rows=[row])
     ones = dict.fromkeys(hsig.names, 1)
     hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in ideal.generators])
-    grevlex = hideal.reducers(deadline, stage="w-adapted-basis-grevlex")
-    gb = hideal.basis(order, deadline, stage, hilbert_target=[r.lm for r in grevlex.reds])
+    grevlex = hideal.reducers(stage="w-adapted-basis-grevlex")
+    gb = hideal.basis(order, stage, hilbert_target=[r.lm for r in grevlex.reds])
     dehomogenized = (g.subs_extra("h", 1, sig) for g in gb)
     return [g for g in dehomogenized if g]
 
@@ -112,16 +112,16 @@ class RestrictionData:
     relations: SubmodulePresentation
 
 
-def weight_bfunction(ideal, deadline=None, adapted=None):
+def weight_bfunction(ideal, adapted=None):
     """Generator of in_w(J) cap C[theta], theta = sum x_j dx_j."""
     sig = ideal.sig
     if adapted is None:
-        adapted = w_adapted_basis(ideal, deadline=deadline)
+        adapted = w_adapted_basis(ideal)
     row = _w_row(sig)
     initials = [g.initial_form(row) for g in adapted]
     theta = sum((WeylOperator.gen(sig, x) * WeylOperator.gen(sig, "d" + x)
                  for x in sig.x_names), WeylOperator.zero(sig))
-    bw = minimal_polynomial(theta, IdealPresentation(sig, initials), deadline,
+    bw = minimal_polynomial(theta, IdealPresentation(sig, initials),
                             stage="theta-elimination")
     if not bw:
         raise NotHolonomic("weight b-function is zero: not holonomic along the restriction")
@@ -156,14 +156,14 @@ def _at_x_zero(groups, gamma, sig):
     return out
 
 
-def restriction_data(ideal, deadline=None):
+def restriction_data(ideal):
     """All data of the degree-0 restriction of D_{n+1}/ideal to x = 0."""
     sig = ideal.sig
     if not sig.has_t:
         raise SignatureMismatch("restriction expects a D_{n+1} ideal")
-    adapted = w_adapted_basis(ideal, deadline=deadline)
+    adapted = w_adapted_basis(ideal)
     row = _w_row(sig)
-    bw = weight_bfunction(ideal, deadline=deadline, adapted=adapted)
+    bw = weight_bfunction(ideal, adapted=adapted)
     k0 = bw.integer_roots_max()
     sig1 = d_1()
     if k0 is None:
@@ -189,21 +189,20 @@ def restriction_data(ideal, deadline=None):
     return RestrictionData(bw, k0, basis, module)
 
 
-def integration_ideal(ideal, deadline=None):
+def integration_ideal(ideal):
     """Annihilator in D_1 of the class of 1 in the degree-0 integral module.
 
     Fourier transform, then restriction to x = 0; the answer is the
     component-0 colon ideal of the truncated relation module.
     """
     FJ = fourier_transform(ideal)
-    rd = restriction_data(FJ, deadline=deadline)
+    rd = restriction_data(FJ)
     sig1 = d_1()
     if rd.k0 is None:
         one = WeylOperator.one(sig1)
         return IdealPresentation(sig1, (one,), (one,))
     comp = rd.basis.index((0,) * ideal.sig.n_x)
-    return component_zero_ideal(rd.relations, comp, deadline=deadline,
-                                stage="integration-colon")
+    return component_zero_ideal(rd.relations, comp, stage="integration-colon")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +328,10 @@ def mellin_to_difference(ideal):
     return [mellin_raw(g).normalized() for g in ideal.generators]
 
 
-def zeta_difference(inst, deadline=None):
+def zeta_difference(inst):
     """Difference operators annihilating Z(lambda) = int f_+^lambda phi dx."""
     J = build_malgrange(inst)
-    ann = integration_ideal(J, deadline=deadline)
+    ann = integration_ideal(J)
     ops = [op for op in mellin_to_difference(ann) if op]
     if not ops:
         raise NotHolonomic("empty difference ideal: integration failed to terminate")

@@ -117,7 +117,7 @@ def default_shift(lambda0):
     return int(neg.numerator // neg.denominator) + 1
 
 
-def ann_laurent(req, deadline=None):
+def ann_laurent(req):
     """Holonomic annihilator of the Laurent coefficient phi_k at lambda0.
 
     Works in e = s - lambda0 throughout: B(e) = b_m(lambda0 + e) = c(e) e^l,
@@ -125,9 +125,9 @@ def ann_laurent(req, deadline=None):
     """
     inst = req.inst
     lambda0 = req.lambda0
-    ann = ann_fs(inst, deadline=deadline)
-    b0 = bfunction(ann, inst.f, deadline=deadline)
-    eqn = functional_operator(ann, inst.f, b0, deadline=deadline)
+    ann = ann_fs(inst)
+    b0 = bfunction(ann, inst.f)
+    eqn = functional_operator(ann, inst.f, b0)
     m = default_shift(lambda0)
     bm = UPoly.one()
     for j in range(m):
@@ -148,6 +148,6 @@ def ann_laurent(req, deadline=None):
     sig = inst.sig
     sub_gens = [tuple(op.subs_extra("s", a, sig) for op in vec) for vec in Jk.generators]
     Jk_sub = SubmodulePresentation.make(N + 1, sig, sub_gens)
-    ann_w = colon_kernel(Qk, Jk_sub, deadline=deadline, stage="laurent-colon")
+    ann_w = colon_kernel(Qk, Jk_sub, stage="laurent-colon")
     return LaurentSystem(lambda0, req.k, l, m, BFunction.from_upoly(bm), c, tuple(Qk),
                          Jk_sub, ann_w)

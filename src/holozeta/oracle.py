@@ -62,21 +62,21 @@ class LogSection:
     op lives in D_n[s], in numeric mode in D_n.
     """
 
-    def __init__(self, inst, symbolic=True, a=None, deadline=None):
+    def __init__(self, inst, symbolic=True, a=None):
         self.inst = inst
         self.symbolic = symbolic
         self.a = None if symbolic else QQ(a)
         self.sig = inst.sig_s if symbolic else inst.sig
         # I inside this signature (s rides along freely), with its basis
         self._gb = IdealPresentation(self.sig, [g.embed(self.sig) for g in inst.I_gens])
-        self._gb.basis(deadline=deadline)
+        self._gb.basis()
         self.entries = {}
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def fs(cls, inst, j=0, mult=None, symbolic=True, a=None, deadline=None):
+    def fs(cls, inst, j=0, mult=None, symbolic=True, a=None):
         """The section f^e (log f)^j (x) (mult * u); mult defaults to 1."""
-        sec = cls(inst, symbolic=symbolic, a=a, deadline=deadline)
+        sec = cls(inst, symbolic=symbolic, a=a)
         op = WeylOperator.one(sec.sig) if mult is None else mult.embed(sec.sig)
         sec._put(j, op, 0)
         return sec

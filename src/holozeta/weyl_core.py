@@ -20,6 +20,8 @@ case as it stands.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import functools
 import heapq
 import itertools
@@ -56,6 +58,21 @@ class GBTimeout(RuntimeError):
         self.stage = stage
         self.basis_size = basis_size
         self.pairs_left = pairs_left
+
+
+_DEADLINE = contextvars.ContextVar("holozeta_deadline", default=None)
+
+
+@contextlib.contextmanager
+def time_limit(deadline):
+    """Run the block under a wall clock: every Groebner computation in it
+    raises GBTimeout once time.monotonic() passes deadline (an absolute
+    time.monotonic() value; None for no limit).  The innermost block wins."""
+    token = _DEADLINE.set(deadline)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
 
 
 def rational_content(coeffs):
@@ -719,20 +736,25 @@ class _Reducers:
     """A basis as primitive integer _Reds (reds, in the order added) and, per
     leading component, the scan list in which _nf takes the first divisor:
     in the order added, or sparsest first (stable) when sparsest is set, for
-    less fill-in while the Groebner engine completes a basis."""
+    less fill-in while the Groebner engine completes a basis.  A timeout in
+    _nf reports stage and, while the engine completes the basis, the count of
+    its pending pairs."""
 
-    def __init__(self, keyf, pk, sparsest=False):
+    pending = ()
+
+    def __init__(self, keyf, pk, stage, sparsest=False):
         self.keyf = keyf
         self.pk = pk
+        self.stage = stage
         self.sparsest = sparsest
         self.reds = []
         self.scan = {}
 
     @classmethod
-    def of(cls, order, pk, basis):
+    def of(cls, order, pk, basis, stage="normal-form"):
         """The reducers of rational labelled term dicts under a TermOrder."""
         keyf = _make_keyf(order, pk)
-        out = cls(keyf, pk)
+        out = cls(keyf, pk, stage)
         for terms in basis:
             if terms:
                 out.add(_Red(_integral(terms)[1], keyf, pk))
@@ -764,8 +786,10 @@ def _nf(p, reducers):
     times the rational one, term for term.  A step's multiplier (mostly 1) is
     applied at once to the unreduced terms, but to the remainder only at the
     end, since no later step touches its terms.  The reducer is the first
-    divisor in the scan list of the term's component.
+    divisor in the scan list of the term's component.  Past the time_limit
+    deadline it raises GBTimeout.
     """
+    deadline = _DEADLINE.get()
     pk, keyf, scan = reducers.pk, reducers.keyf, reducers.scan
     work = dict(p)
     mult = 1                   # product of the step multipliers so far
@@ -777,6 +801,8 @@ def _nf(p, reducers):
     push = heapq.heappush
     touched = []
     while heap:
+        if deadline is not None and time.monotonic() > deadline:
+            raise GBTimeout(reducers.stage, len(reducers.reds), len(reducers.pending))
         _, lab = heapq.heappop(heap)
         c = work.get(lab)
         if not c:
@@ -939,8 +965,8 @@ def _hilbert_numerator(pk, monos):
     return out
 
 
-def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
-                    pair_components=None, hilbert_target=None):
+def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
+                    hilbert_target=None):
     """Reduced monic left Groebner basis of labelled term dicts.
 
     Input and output dicts map labelled packed monomials (the component in
@@ -970,8 +996,11 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     degree-d monomials as the target, every S-pair of degree d reduces to
     zero and is skipped.  The final leading ideal must have the target's
     Hilbert numerator; the target of a larger ideal raises.
+
+    Past the time_limit deadline it raises GBTimeout naming stage.
     """
     global _LAST_STATS
+    deadline = _DEADLINE.get()
     stats = GBStats()
     _LAST_STATS = stats
     pk = sig._pk
@@ -985,7 +1014,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
     guard = pk.guard
     cs = pk.cshift
 
-    reducers = _Reducers(keyf, pk, sparsest=True)
+    reducers = _Reducers(keyf, pk, stage, sparsest=True)
     for r in sorted((_Red(_integral(g)[1], keyf, pk) for g in gens if g),
                     key=lambda r: r.key):
         reducers.add(r)
@@ -997,6 +1026,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
 
     queued = {}      # (i, j) -> lcm of the pairs still to reduce
     pairs = []       # their heap; a pair deleted from queued is skipped when popped
+    reducers.pending = queued
 
     def add_pairs(j):
         rj = basis[j]
@@ -1071,7 +1101,7 @@ def groebner_engine(gens, sig, order, deadline=None, stage="groebner",
 
     # minimalize: by degree, then key, keep the elements no kept one divides
     # (a divisor has the lower degree; under a negative weight, not the lower key)
-    kept = _Reducers(keyf, pk)
+    kept = _Reducers(keyf, pk, stage)
     for r in sorted(basis, key=lambda r: (_pdeg(pk, r.lm), r.key)):
         if not any(divides(k.lm, r.lm) for k in kept.scan.get(r.comp, ())):
             kept.add(r)
@@ -1139,27 +1169,27 @@ class _Presentation:
         if grevlex_basis is not None:
             self._bases[TermOrder.grevlex(sig)] = tuple(grevlex_basis)
 
-    def basis(self, order=None, deadline=None, stage="groebner", hilbert_target=None):
+    def basis(self, order=None, stage="groebner", hilbert_target=None):
         """The reduced Groebner basis under order (grevlex by default);
         hilbert_target as in groebner_engine."""
         order = order or TermOrder.grevlex(self.sig)
         if order not in self._bases:
             gb = groebner_engine([self._terms(g) for g in self.generators],
-                                 self.sig, order, deadline, stage,
-                                 hilbert_target=hilbert_target)
+                                 self.sig, order, stage, hilbert_target=hilbert_target)
             self._bases[order] = tuple(self._of(t) for t in gb)
         return self._bases[order]
 
-    def reducers(self, deadline=None, stage="groebner"):
-        """The division reducers of the grevlex basis."""
+    def reducers(self, stage="groebner"):
+        """The division reducers of the grevlex basis; stage names both the
+        basis computation and the normal forms the reducers take."""
         if self._reducers is None:
             order = TermOrder.grevlex(self.sig)
             self._reducers = _Reducers.of(order, self.sig._pk, [
-                self._terms(g) for g in self.basis(order, deadline, stage)])
+                self._terms(g) for g in self.basis(order, stage)], stage)
         return self._reducers
 
-    def contains(self, element, deadline=None):
-        return not self.reducers(deadline).remainder(self._terms(element))
+    def contains(self, element):
+        return not self.reducers().remainder(self._terms(element))
 
 
 class IdealPresentation(_Presentation):
@@ -1200,14 +1230,14 @@ class SubmodulePresentation(_Presentation):
         return _split(self.sig._pk, terms, self.sig, self.rank)
 
 
-def eliminate(ideal, kill, deadline=None, stage="elimination"):
+def eliminate(ideal, kill, stage="elimination"):
     """Intersect an ideal with the subalgebra omitting the named generators.
 
     The named generators must be central extras (the only case needed here);
     the result lives in the reduced signature.
     """
     kill = tuple(kill)
-    gb = ideal.basis(TermOrder.elimination(ideal.sig, kill), deadline, stage)
+    gb = ideal.basis(TermOrder.elimination(ideal.sig, kill), stage)
     new_sig = ideal.sig.without_extras(*kill)
     free = (0,) * len(kill)
     kept = tuple(parts[free] for parts in (g.coefficients(kill, new_sig) for g in gb)
@@ -1215,7 +1245,7 @@ def eliminate(ideal, kill, deadline=None, stage="elimination"):
     return IdealPresentation(new_sig, kept, kept)
 
 
-def colon_kernel(vec, module, deadline=None, stage="colon"):
+def colon_kernel(vec, module, stage="colon"):
     """{P : P * vec in module}: the component-0 ideal of D(1, vec) + (0, J)."""
     rank = module.rank
     if len(vec) != rank:
@@ -1224,23 +1254,22 @@ def colon_kernel(vec, module, deadline=None, stage="colon"):
     zero = WeylOperator.zero(sig)
     aug = [(WeylOperator.one(sig),) + tuple(vec)]
     aug += [(zero,) + tuple(g) for g in module.generators]
-    return component_zero_ideal(SubmodulePresentation.make(rank + 1, sig, aug), 0,
-                                deadline, stage)
+    return component_zero_ideal(SubmodulePresentation.make(rank + 1, sig, aug), 0, stage)
 
 
-def component_zero_ideal(module, comp=0, deadline=None, stage="component-colon"):
+def component_zero_ideal(module, comp=0, stage="component-colon"):
     """{P : P e_comp in module} for a unit vector, by component elimination:
     the module basis is reduced and every other component sits above comp, so
     its rows with only component comp are the ideal's reduced grevlex basis."""
     sig = module.sig
     others = [c for c in range(module.rank) if c != comp]
     order = TermOrder(sig, position="pt", top_comps=others)
-    gens = tuple(v[comp] for v in module.basis(order, deadline, stage)
+    gens = tuple(v[comp] for v in module.basis(order, stage)
                  if all(v[c].is_zero() for c in others))
     return IdealPresentation(sig, gens, gens)
 
 
-def represent(p, gens, deadline=None, stage="represent"):
+def represent(p, gens, stage="represent"):
     """Cofactors a_i with p = sum a_i gens_i, or None if p is not a member.
 
     Extended Buchberger: a Groebner basis of the ideal is completed in the
@@ -1256,11 +1285,11 @@ def represent(p, gens, deadline=None, stage="represent"):
     # pair_components keeps the engine's pop-time chain criterion here, not
     # the Gebauer–Möller update: the payload rows, and so the cofactors and
     # the printed P0 of funceq, depend on which pairs are reduced
-    basis = groebner_engine(aug, sig, order, deadline, stage, pair_components={0})
+    basis = groebner_engine(aug, sig, order, stage, pair_components={0})
     # component 0 sits above the others: an element is front-headed iff it
     # has a term there
     front = _Reducers.of(order, pk, [b for b in basis
-                                     if any(m >> pk.cshift == 0 for m in b)])
+                                     if any(m >> pk.cshift == 0 for m in b)], stage)
     vec = _split(pk, front.remainder(p.terms), sig, k + 1)
     if not vec[0].is_zero():
         return None
@@ -1276,7 +1305,7 @@ def _krull_dim(pk, monos):
                 if all(sup & ~free for sup in supports)), default=-1)
 
 
-def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
+def minimal_polynomial(op, ideal, stage="minimal-polynomial"):
     """Monic generator b of {b : b(op) in ideal}, by linear algebra over Q.
 
     The normal form against one grevlex basis is Q-linear and the ideal is a
@@ -1289,7 +1318,8 @@ def minimal_polynomial(op, ideal, deadline=None, stage="minimal-polynomial"):
     from .upoly import UPoly
     sig = ideal.sig
     pk = sig._pk
-    reducers = ideal.reducers(deadline, stage)
+    deadline = _DEADLINE.get()
+    reducers = ideal.reducers(stage)
     lms = [r.lm for r in reducers.reds]
     if 0 in lms:
         return UPoly.one()

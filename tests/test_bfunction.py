@@ -19,6 +19,7 @@ from holozeta import (
     functional_operator,
     minimal_polynomial,
     shift_compose,
+    time_limit,
 )
 from holozeta.bfunction import BFunction, NoBFunction
 from holozeta.oracle import LogSection, apply_log_section
@@ -65,15 +66,15 @@ def _b_ideal(ann, f):
 
 def test_bfunction_past_deadline_times_out(inst_cusp):
     ann = ann_fs(inst_cusp)
-    with pytest.raises(GBTimeout):
-        bfunction(ann, inst_cusp.f, deadline=time.monotonic() - 1)
+    with pytest.raises(GBTimeout), time_limit(time.monotonic() - 1):
+        bfunction(ann, inst_cusp.f)
     # with the grevlex basis already cached, the linear-algebra loop itself
     # must notice the deadline
     ideal = _b_ideal(ann, inst_cusp.f)
     ideal.basis()
     s = W.gen(ann.sig, "s")
-    with pytest.raises(GBTimeout, match="b-stage"):
-        minimal_polynomial(s, ideal, deadline=time.monotonic() - 1, stage="b-stage")
+    with pytest.raises(GBTimeout, match="b-stage"), time_limit(time.monotonic() - 1):
+        minimal_polynomial(s, ideal, "b-stage")
 
 
 def _instance_d2(f_of, *phi_names):
@@ -167,8 +168,8 @@ def test_bfunction_roots_in_minus_n_zero_and_s_plus_1_divides(terms):
                         "dx", "dy")
     try:
         # a few tiny inputs take seconds (the engine's long tail)
-        deadline = time.monotonic() + 1
-        bf = bfunction(ann_fs(inst, deadline), inst.f, deadline)
+        with time_limit(time.monotonic() + 1):
+            bf = bfunction(ann_fs(inst), inst.f)
     except GBTimeout:
         reject()
     assert bf.nonrational_part == UPoly.one()

@@ -3,10 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from holozeta import QQ, TermOrder, WeylOperator, d_n, d_n_s
+from holozeta import (
+    QQ,
+    GBTimeout,
+    IdealPresentation,
+    TermOrder,
+    WeylOperator,
+    d_n,
+    d_n_s,
+    time_limit,
+)
 from holozeta.cli import InputError, ProblemFile, parse_operator, run
 
 W = WeylOperator
@@ -241,14 +251,16 @@ def test_timeout_reaches_every_engine_call(argv, monkeypatch, capsys):
     from holozeta import weyl_core
     deadlines, engine = [], weyl_core.groebner_engine
 
-    def spy(gens, sig, order, deadline=None, stage="groebner", pair_components=None,
-            **kwargs):
-        deadlines.append((stage, deadline))
-        return engine(gens, sig, order, deadline, stage, pair_components, **kwargs)
+    def spy(gens, sig, order, stage="groebner", pair_components=None, **kwargs):
+        deadlines.append((stage, weyl_core._DEADLINE.get()))
+        return engine(gens, sig, order, stage, pair_components, **kwargs)
     monkeypatch.setattr(weyl_core, "groebner_engine", spy)
     assert run([argv[0], prob(argv[1]), *argv[2:], "--timeout", "1000"]) == 0
     capsys.readouterr()
     assert deadlines and [stage for stage, d in deadlines if d is None] == []
+    # one deadline for the whole command, and none left behind
+    assert len({d for _stage, d in deadlines}) == 1
+    assert weyl_core._DEADLINE.get() is None
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan"])
@@ -259,10 +271,20 @@ def test_run_nonpositive_timeout_is_input_error(value, capsys):
     assert captured.err.startswith("input error: --timeout must be positive")
 
 
+def test_no_deadline_outlives_its_command(capsys):
+    # the benchmark runs many commands in one process
+    from holozeta import weyl_core
+    assert run(["bfun", prob("cusp.prob"), "--timeout", "0.001"]) == 2
+    assert run(["bfun", prob("cusp.prob")]) == 0
+    capsys.readouterr()
+    sig = d_n(("x",))
+    with pytest.raises(GBTimeout), time_limit(time.monotonic() - 1):
+        IdealPresentation(sig, [W.gen(sig, "x")]).contains(W.gen(sig, "dx"))
+    assert weyl_core._DEADLINE.get() is None
+
+
 def test_run_ending_past_the_deadline_exits_2(monkeypatch, capsys):
     # a command that overruns its deadline outside the engine loops
-    import time
-
     import holozeta.cli
 
     def slow(args, prob):

@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from holozeta import (
     minimal_polynomial,
     normal_form,
     represent,
+    time_limit,
 )
 from holozeta.bfunction import BFunction
 from holozeta.integration import _w_row
@@ -392,10 +394,9 @@ def test_presentations_keep_one_basis_per_order(monkeypatch):
     import holozeta.weyl_core as wc
     stages, engine = [], wc.groebner_engine
 
-    def counted(gens, sig, order, deadline=None, stage="groebner", pair_components=None,
-                **kwargs):
+    def counted(gens, sig, order, stage="groebner", pair_components=None, **kwargs):
         stages.append(stage)
-        return engine(gens, sig, order, deadline, stage, pair_components, **kwargs)
+        return engine(gens, sig, order, stage, pair_components, **kwargs)
     monkeypatch.setattr(wc, "groebner_engine", counted)
     sig = d_n(("x", "y"))
     x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
@@ -1026,7 +1027,8 @@ def test_engine_matches_buchberger_without_criteria(sig, rank, data):
     order = TermOrder.grevlex(sig) if rank == 1 else TermOrder(sig, position="pt")
     try:
         # a few draws in a hundred take seconds, without criteria minutes
-        basis = groebner_engine(gens, sig, order, deadline=time.monotonic() + 1)
+        with time_limit(time.monotonic() + 1):
+            basis = groebner_engine(gens, sig, order)
         ref = _ref_groebner(gens, sig, order, criteria=False, deadline=time.monotonic() + 5)
     except GBTimeout:
         reject()
@@ -1040,11 +1042,47 @@ def test_timeout_counts_live_pairs_only():
     sig = d_n(("x", "y"))
     x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
     gens = [y ** 3 * dx, x * y ** 2 * dy ** 2, x * y ** 3 * dy]
-    with pytest.raises(GBTimeout) as err:
-        groebner_engine([g.terms for g in gens], sig, TermOrder.grevlex(sig),
-                        deadline=time.monotonic() - 1)
+    with pytest.raises(GBTimeout) as err, time_limit(time.monotonic() - 1):
+        groebner_engine([g.terms for g in gens], sig, TermOrder.grevlex(sig))
     assert err.value.pairs_left == 2
     assert last_gb_stats() == GBStats(pairs_considered=3, pairs_skipped=1)
+
+
+def test_normal_forms_past_the_deadline_time_out():
+    # with the basis known, no engine runs: the division loop itself must
+    # notice the deadline and name the stage its reducers serve
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    seeded = IdealPresentation(sig, [dx, dy], [dx, dy])
+    seeded.reducers("seeded-stage")
+    cached = IdealPresentation(sig, [dx, y * dy + 1])
+    cached.basis()
+    for ideal, stage in ((seeded, "seeded-stage"), (cached, "groebner")):
+        for call in (ideal.contains, ideal.normal_form):
+            with pytest.raises(GBTimeout) as err, time_limit(time.monotonic() - 1):
+                call(x * dx + y)
+            assert (err.value.stage, err.value.basis_size, err.value.pairs_left) == (stage, 2, 0)
+
+
+class _ClockPastDeadlineInNf:
+    """time for weyl_core: monotonic() reads 0 except when _nf calls it."""
+
+    @staticmethod
+    def monotonic():
+        return math.inf if sys._getframe(1).f_code.co_name == "_nf" else 0.0
+
+
+def test_timeout_in_a_reduction_counts_live_pairs(monkeypatch):
+    # the gens of test_timeout_counts_live_pairs_only: two live pairs, one of
+    # which is popped and being reduced when the deadline passes
+    import holozeta.weyl_core as wc
+    monkeypatch.setattr(wc, "time", _ClockPastDeadlineInNf)
+    sig = d_n(("x", "y"))
+    x, y, dx, dy = (W.gen(sig, n) for n in ("x", "y", "dx", "dy"))
+    gens = [y ** 3 * dx, x * y ** 2 * dy ** 2, x * y ** 3 * dy]
+    with pytest.raises(GBTimeout, match="'nf-stage'") as err, time_limit(1.0):
+        groebner_engine([g.terms for g in gens], sig, TermOrder.grevlex(sig), "nf-stage")
+    assert (err.value.basis_size, err.value.pairs_left) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,10 +1145,11 @@ def test_hilbert_driven_engine_matches_plain_and_reference(x_names, data):
     gens = [g.homogenize("h", ones, hsig).terms for g in data.draw(_generators(d_np1(x_names)))]
     try:
         target = _grevlex_leading_monomials(gens, hsig)
-        plain = groebner_engine(gens, hsig, order, deadline=time.monotonic() + 1)
+        with time_limit(time.monotonic() + 1):
+            plain = groebner_engine(gens, hsig, order)
         plain_zero = last_gb_stats().zero_reductions
-        driven = groebner_engine(gens, hsig, order, deadline=time.monotonic() + 1,
-                                 hilbert_target=target)
+        with time_limit(time.monotonic() + 1):
+            driven = groebner_engine(gens, hsig, order, hilbert_target=target)
         stats = last_gb_stats()
         ref = _ref_groebner(gens, hsig, order, deadline=time.monotonic() + 2)[0]
     except GBTimeout:
@@ -1163,7 +1202,8 @@ def test_component_zero_ideal_rows_are_its_reduced_basis(sig, rank, data):
     module = SubmodulePresentation.make(rank, sig, vectors)
     try:
         # a few draws in a hundred over D_2 take seconds to minutes
-        ideal = component_zero_ideal(module, comp, deadline=time.monotonic() + 1)
+        with time_limit(time.monotonic() + 1):
+            ideal = component_zero_ideal(module, comp)
     except GBTimeout:
         reject()
     order = TermOrder.grevlex(sig)
