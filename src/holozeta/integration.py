@@ -35,6 +35,7 @@ from .weyl_core import (
     minimal_polynomial,
     q_str,
     rational_content,
+    signed_sum,
 )
 
 
@@ -284,8 +285,6 @@ class DifferenceOperator:
         return DifferenceOperator({i: p * (QQ1 / cont) for i, p in shifted.items()})
 
     def to_str(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for k in sorted(self.coeffs, reverse=True):
             p = self.coeffs[k]
@@ -299,11 +298,7 @@ class DifferenceOperator:
             else:
                 body = f"({q.to_str(compact=True)})*{e}"
             parts.append((sign, body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"<DifferenceOperator {self.to_str()}>"
@@ -369,10 +364,11 @@ def _strip_primitive(cs):
 def _pseudo_right_rem(a, b):
     """Pseudo-remainder of a under right division by b (dense Q[s] lists).
 
-    Vanishes exactly when the true Q(s) remainder does; intermediate results
-    are kept primitive.
+    Vanishes exactly when the true Q(s) remainder does.  Each step clears
+    the integer content only; the polynomial content goes once, from the
+    finished remainder, which is returned primitive.
     """
-    a = [c for c in a]
+    a = list(a)
     db = len(b) - 1
     while True:
         while a and not a[-1]:
@@ -385,8 +381,9 @@ def _pseudo_right_rem(a, b):
         a = [c * lead for c in a]
         for i, bc in enumerate(b):
             a[i + d] = a[i + d] - lca * bc.shift(d)
-        a = _strip_primitive(a)
-    return a
+        cont = rational_content([v for c in a for v in c.c]) or QQ1
+        a = [c * (QQ1 / cont) for c in a]
+    return _strip_primitive(a)
 
 
 def difference_gcrd(ops):

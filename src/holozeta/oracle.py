@@ -1,13 +1,15 @@
 """Independent verification: exact operator actions on f^s log-sections, and
 numeric quadrature of Z(lambda) for residual checks of difference operators.
 
-A LogSection represents sum_j f^(-k_j) f^s (log f)^j (x) (op_j u) over the
+A LogSection represents f^(-k) sum_j f^s (log f)^j (x) (op_j u) over the
 module M = D_n/I; operators act exactly (the derivation rule
-d_i f^s = s f_i f^{-1} f^s plus the product rule on log powers), with the
-M-side reduced against a Groebner basis of I.  Zero testing uses the
-saturation criterion: for f-saturated M the section vanishes iff every op_j
-reduces to 0; in general f^m op_j is tested for increasing m and the m used
-is reported.
+d_i f^s = s f_i f^{-1} f^s plus the product rule on log powers), with each
+op_j reduced against a Groebner basis of I.  Every rule raises all entries
+by the same power of f, so one k serves the whole section and nothing is
+ever divided by f.  Zero testing: the section vanishes iff f^m op_j = 0 mod I
+for some m and every j; for f-saturated M that is iff every op_j reduces to
+0, and in general f^m op_j is tested for increasing m and the m used is
+reported.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .weyl_core import (
     IdealPresentation,
     SignatureMismatch,
     WeylOperator,
-    add_term,
 )
 
 
@@ -32,34 +33,13 @@ class OracleError(RuntimeError):
 M_CAP = 8
 
 
-def _comm_poly_div(num, den):
-    """Exact division of commutative exponent-dict polynomials, or None.
-
-    Single-divisor long division under lex; remainder-free iff divisible.
-    """
-    den_lead = max(den)
-    lc = den[den_lead]
-    work = dict(num)
-    quot = {}
-    while work:
-        m = max(work)
-        diff = tuple(a - b for a, b in zip(m, den_lead))
-        if any(d < 0 for d in diff):
-            return None
-        c = work[m] / lc
-        quot[diff] = c
-        for dm, dc in den.items():
-            add_term(work, tuple(a + b for a, b in zip(diff, dm)), -c * dc)
-    return quot
-
-
 class LogSection:
     """Exact section of the log tower over M = D_n/I.
 
-    entries maps a log power j to (op, fpow): the summand
-    f^(-fpow) f^e (log f)^j (x) (op u), where the exponent e is the symbol s
-    (symbolic mode) or a fixed rational a (numeric mode).  In symbolic mode
-    op lives in D_n[s], in numeric mode in D_n.
+    The section is f^(-fpow) sum_j f^e (log f)^j (x) (entries[j] u), where
+    the exponent e is the symbol s (symbolic mode) or a fixed rational a
+    (numeric mode).  In symbolic mode each op lives in D_n[s], in numeric
+    mode in D_n; each is a nonzero normal form modulo I.
     """
 
     def __init__(self, inst, symbolic=True, a=None):
@@ -67,9 +47,11 @@ class LogSection:
         self.symbolic = symbolic
         self.a = None if symbolic else QQ(a)
         self.sig = inst.sig_s if symbolic else inst.sig
+        self.f = inst.f.embed(self.sig)
         # I inside this signature (s rides along freely), with its basis
         self._gb = IdealPresentation(self.sig, [g.embed(self.sig) for g in inst.I_gens])
         self._gb.basis()
+        self.fpow = 0
         self.entries = {}
 
     # -- construction -----------------------------------------------------------
@@ -78,67 +60,26 @@ class LogSection:
         """The section f^e (log f)^j (x) (mult * u); mult defaults to 1."""
         sec = cls(inst, symbolic=symbolic, a=a)
         op = WeylOperator.one(sec.sig) if mult is None else mult.embed(sec.sig)
-        sec._put(j, op, 0)
+        sec._put(j, op)
         return sec
 
-    def _left_div_f(self, op):
-        """op = f * q exactly (as a left factor), or None.
-
-        f is a pure x-polynomial, so f * (sum c x^a d^b) groups per d-monomial
-        and the test is a commutative polynomial division on each coefficient.
-        """
-        sig = self.sig
-        nx = sig.n_x
-        groups = {}
-        for m, c in op.exponent_terms().items():
-            key = m[nx:]
-            groups.setdefault(key, {})[m[:nx]] = c
-        fterms = {m[:nx]: c for m, c in self.inst.f.embed(sig).exponent_terms().items()}
-        out = {}
-        for key, poly in groups.items():
-            q = _comm_poly_div(poly, fterms)
-            if q is None:
-                return None
-            for xm, c in q.items():
-                out[xm + key] = c
-        return WeylOperator(sig, out)
-
-    def _put(self, j, op, fpow):
-        op = op.embed(self.sig)
+    def _put(self, j, op):
+        """Add op u to the log^j entry, reduced modulo I."""
         cur = self.entries.get(j)
-        if cur is not None:
-            cop, ck = cur
-            # align f powers
-            f = self.inst.f.embed(self.sig)
-            k = max(ck, fpow)
-            if ck < k:
-                cop = f ** (k - ck) * cop
-            if fpow < k:
-                op = f ** (k - fpow) * op
-            op, fpow = cop + op, k
-        op = self._gb.normal_form(op)
-        # canonical form: clear common left f-factors against the denominator
-        while fpow > 0 and op:
-            q = self._left_div_f(op)
-            if q is None:
-                break
-            op, fpow = self._gb.normal_form(q), fpow - 1
+        op = self._gb.normal_form(op if cur is None else cur + op)
         if op.is_zero():
             self.entries.pop(j, None)
         else:
-            self.entries[j] = (op, fpow)
+            self.entries[j] = op
 
-    def _empty(self):
-        """An empty section over the same tower, sharing the basis of I."""
+    def _empty(self, fpow):
+        """An empty section over the same tower at f power fpow, sharing the
+        basis of I."""
         out = object.__new__(LogSection)
-        out.inst, out.symbolic, out.a, out.sig, out._gb = (
-            self.inst, self.symbolic, self.a, self.sig, self._gb)
+        out.inst, out.symbolic, out.a, out.sig, out.f, out._gb = (
+            self.inst, self.symbolic, self.a, self.sig, self.f, self._gb)
+        out.fpow = fpow
         out.entries = {}
-        return out
-
-    def copy(self):
-        out = self._empty()
-        out.entries = dict(self.entries)
         return out
 
     # -- linear structure ---------------------------------------------------------
@@ -146,14 +87,11 @@ class LogSection:
         if (self.inst is not other.inst and self.inst != other.inst) or \
            self.symbolic != other.symbolic or self.a != other.a:
             raise OracleError("sections over different towers")
-        out = self.copy()
-        for j, (op, k) in other.entries.items():
-            out._put(j, op, k)
-        return out
+        return _sum([self, other])
 
     def scale(self, c):
-        out = self.copy()
-        out.entries = {j: (op.scale(c), k) for j, (op, k) in out.entries.items()}
+        out = self._empty(self.fpow)
+        out.entries = {j: op.scale(c) for j, op in self.entries.items()}
         return out
 
     def __sub__(self, other):
@@ -169,15 +107,13 @@ class LogSection:
         For f-saturated input m = 0 always suffices; the search is kept for
         robustness on unsaturated modules and the bound is reported.
         """
-        f = self.inst.f.embed(self.sig)
         worst = 0
-        for j, (op, _k) in self.entries.items():
-            cur = op
+        for op in self.entries.values():
             m = 0
             while m <= M_CAP:
-                if self._gb.contains(cur):
+                if self._gb.contains(op):
                     break
-                cur = f * cur
+                op = self.f * op
                 m += 1
             if m > M_CAP:
                 return None
@@ -186,30 +122,44 @@ class LogSection:
 
     def __repr__(self):
         kind = "s" if self.symbolic else str(self.a)
-        inner = ", ".join(f"log^{j}: f^-{k} (x) {op.to_str()}"
-                          for j, (op, k) in sorted(self.entries.items()))
-        return f"<LogSection e={kind} {{{inner}}}>"
+        inner = ", ".join(f"log^{j}: {op.to_str()}" for j, op in sorted(self.entries.items()))
+        return f"<LogSection e={kind} f^-{self.fpow} (x) {{{inner}}}>"
+
+
+def _sum(sections):
+    """The sum of sections over one tower, each lifted once to the largest f
+    power and each log power reduced once."""
+    top = max(sections, key=lambda sec: sec.fpow)
+    acc = {}
+    for sec in sections:
+        lift = top.f ** (top.fpow - sec.fpow)
+        for j, op in sec.entries.items():
+            op = lift * op if sec.fpow < top.fpow else op
+            acc[j] = acc[j] + op if j in acc else op
+    out = top._empty(top.fpow)
+    for j, op in acc.items():
+        out._put(j, op)
+    return out
 
 
 def _map(sec, fn, dk=0):
-    """The section with every entry (op, k) replaced by (fn(op), k + dk)."""
-    out = sec._empty()
-    for j, (op, k) in sec.entries.items():
-        out._put(j, fn(op), k + dk)
+    """The section with every op replaced by fn(op) and f power raised by dk."""
+    out = sec._empty(sec.fpow + dk)
+    for j, op in sec.entries.items():
+        out._put(j, fn(op))
     return out
 
 
 def _apply_gen(sec, name):
     """Action of the generator called name on the section sec."""
-    inst, sig = sec.inst, sec.sig
+    inst, sig, f = sec.inst, sec.sig, sec.f
     if name in ("s", "t", "dt") and not sec.symbolic:
         raise OracleError(f"{name} acts on symbolic sections only")
     if name == "t":
         # t acts through the Mellin identification as E_s: shift s, multiply by f
-        f = inst.f.embed(sig)
         return _map(sec, lambda op: f * op.shift_extra("s", 1))
     if name == "dt":
-        # dt = -s E_s^{-1}: shift s by -1, divide by f, multiply by -s
+        # dt = -s E_s^{-1}: shift s by -1, raise the f power by one, multiply by -s
         s = WeylOperator.gen(sig, "s")
         return _map(sec, lambda op: -s * op.shift_extra("s", -1), dk=1)
     if name == "s" or name in inst.x_names:
@@ -218,15 +168,15 @@ def _apply_gen(sec, name):
     # d_i (f^{-k} f^e log^j (x) op u) =
     #   f^{-(k+1)} f^e log^j (x) (f d_i + (e-k) f_i) op u
     # + j f^{-(k+1)} f^e log^(j-1) (x) f_i op u
-    f = inst.f.embed(sig)
+    k = sec.fpow
     fi = inst.f.derivative(name[1:]).embed(sig)
-    di = WeylOperator.gen(sig, name)
     e = WeylOperator.gen(sig, "s") if sec.symbolic else WeylOperator.constant(sig, sec.a)
-    out = sec._empty()
-    for j, (op, k) in sec.entries.items():
-        out._put(j, (f * di + (e - k) * fi) * op, k + 1)
+    rule = f * WeylOperator.gen(sig, name) + (e - k) * fi
+    out = sec._empty(k + 1)
+    for j, op in sec.entries.items():
+        out._put(j, rule * op)
         if j:
-            out._put(j - 1, fi.scale(j) * op, k + 1)
+            out._put(j - 1, fi.scale(j) * op)
     return out
 
 
@@ -240,16 +190,14 @@ def apply_log_section(P, v):
     psig = P.sig
     if psig.x_names != v.inst.x_names:
         raise SignatureMismatch("operator over different x variables")
-    out = None
+    parts = []
     for m, c in P.exponent_terms().items():
         cur = v.scale(c)
         for name, e in reversed(list(zip(psig.names, m))):
             for _ in range(e):
                 cur = _apply_gen(cur, name)
-        out = cur if out is None else out + cur
-    if out is None:
-        out = v._empty()
-    return out
+        parts.append(cur)
+    return _sum(parts) if parts else v._empty(v.fpow)
 
 
 def annihilates(P, v):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .weyl_core import QQ, QQ0, QQ1, q_str, rational_content
+from .weyl_core import QQ, QQ0, QQ1, q_str, rational_content, signed_sum
 
 
 class UPoly:
@@ -219,8 +219,6 @@ class UPoly:
 
     # -- printing ----------------------------------------------------------------
     def to_str(self, var="s", compact=False):
-        if not self.c:
-            return "0"
         parts = []
         for e in range(self.degree, -1, -1):
             c = self[e]
@@ -233,12 +231,7 @@ class UPoly:
                 body = v if abs(c) == 1 else (f"{q_str(abs(c))}{v}" if compact
                                               else f"{q_str(abs(c))}*{v}")
             parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        joiner = "" if compact else " "
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f"{joiner}{sign}{joiner}{body}"
-        return out
+        return signed_sum(parts, "" if compact else " ")
 
     def __repr__(self):
         return f"<UPoly {self.to_str()}>"

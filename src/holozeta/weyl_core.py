@@ -91,6 +91,18 @@ def q_str(c):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def signed_sum(parts, joiner=" "):
+    """(sign, body) pairs printed as "a + b - c": the first sign shows only
+    when it is "-", later signs stand between joiners; "0" when empty."""
+    out = ""
+    for sign, body in parts:
+        if out:
+            out += f"{joiner}{sign}{joiner}{body}"
+        else:
+            out = ("-" if sign == "-" else "") + body
+    return out or "0"
+
+
 def add_term(terms, m, c):
     """terms[m] += c in a sparse dict, dropping the entry when it cancels."""
     v = terms[m] + c if m in terms else c
@@ -604,8 +616,6 @@ class WeylOperator:
 
     # -- printing ---------------------------------------------------------------
     def to_str(self, order=None):
-        if not self.terms:
-            return "0"
         if order is None:
             order = TermOrder.grevlex(self.sig)
         names = self.sig.names
@@ -623,13 +633,8 @@ class WeylOperator:
                 body = "*".join(factors)
             else:
                 body = "*".join([q_str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            parts.append(("-" if c < 0 else "+", body))
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"<WeylOperator {self.to_str()}>"

@@ -271,6 +271,27 @@ def test_gcrd_and_membership_laws():
     assert not difference_member(one, [a])
 
 
+def _rand_difference(rng):
+    """A nonzero operator of order <= 2 over Q[s] with small coefficients."""
+    while True:
+        op = DifferenceOperator({k: UPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+                                 for k in range(3)})
+        if op:
+            return op
+
+
+def test_gcrd_of_random_common_right_factor():
+    # gcrd(a c, b c) = gcrd(a, b) c over Q(s)<E, E^-1>; the pseudo-remainders
+    # of the products pick up polynomial content along the way
+    rng = random.Random(53)
+    for _ in range(25):
+        a, b, c = (_rand_difference(rng) for _ in range(3))
+        g = difference_gcrd([a * c, b * c])
+        assert difference_member(a * c, [g]) and difference_member(b * c, [g])
+        assert difference_member(g, [c])
+        assert g.order == difference_gcrd([a, b]).order + c.order
+
+
 def test_zeta_difference_nontrivial(inst_gamma):
     ops = zeta_difference(inst_gamma)
     assert ops and all(op for op in ops)

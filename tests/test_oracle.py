@@ -70,11 +70,10 @@ def test_dx_on_log_section(inst_cusp):
     out = apply_log_section(dx, LogSection.fs(inst_cusp, j=1))
     fx = inst_cusp.f.derivative("x").embed(sig_s)
     s = W.gen(sig_s, "s")
+    assert out.fpow == 1
     assert set(out.entries) == {0, 1}
-    op1, k1 = out.entries[1]
-    op0, k0 = out.entries[0]
-    assert k1 == 1 and op1 == s * fx
-    assert k0 == 1 and op0 == fx
+    assert out.entries[1] == s * fx
+    assert out.entries[0] == fx
 
 
 def test_tau_substitution_intertwines_action(inst_cusp):
@@ -141,6 +140,21 @@ def test_vanishing_m_on_unsaturated_module():
     # no power x^m with m <= M_CAP sends u into <x dx>
     assert LogSection.fs(inst).vanishing_m() is None
     assert not LogSection.fs(inst, mult=x ** M_CAP).is_zero()
+
+
+def test_annihilation_on_unsaturated_module_above_f_power_zero():
+    # M = D_1/<x^2 dx> with f = x is not x-saturated (x dx u != 0 but
+    # x (x dx u) = 0), and every dx raises the section's f power
+    sig = d_n(("x",))
+    x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
+    inst = ProblemInstance.make(("x",), x, [x * x * dx], saturated=False)
+    x, dx, s = (W.gen(inst.sig_s, n) for n in ("x", "dx", "s"))
+    section = LogSection.fs(inst)
+    for op in (x * dx - s, x * x * dx - s * x, dx * x - s - 1):
+        assert apply_log_section(op, section).fpow == 1
+        assert annihilates(op, section)
+    for op in (dx, x * dx):
+        assert not annihilates(op, section)
 
 
 def test_variable_named_like_a_derivative():
