@@ -46,7 +46,6 @@ class ProblemInstance:
     x_names: tuple
     f: WeylOperator
     I_gens: tuple
-    saturated: bool = True
 
     def __post_init__(self):
         sig = self.sig
@@ -78,8 +77,8 @@ class ProblemInstance:
         return d_np1(self.x_names)
 
     @classmethod
-    def make(cls, x_names, f, I_gens, saturated=True):
-        return cls(tuple(x_names), f, tuple(I_gens), saturated)
+    def make(cls, x_names, f, I_gens):
+        return cls(tuple(x_names), f, tuple(I_gens))
 
 
 def tau_substitute(P, f):

@@ -240,7 +240,10 @@ class ProblemFile:
                 if ":" not in line:
                     raise InputError("expected 'key: value'", lineno)
                 key, _, val = line.partition(":")
-                keys[key.strip()] = (val.strip(), lineno)
+                key = key.strip()
+                if key in keys:
+                    raise InputError(f"repeated key {key!r}", lineno)
+                keys[key] = (val.strip(), lineno)
         def take(name, default=None):
             return keys.pop(name, (default, None))
         vars_field, _ = take("vars")
@@ -291,8 +294,7 @@ class ProblemFile:
             raise InputError("assume_saturated: true is required past ann-fs "
                              "(saturation is the caller's assertion)")
         try:
-            return ProblemInstance.make(self.vars, self.f, self.ann,
-                                        saturated=self.assume_saturated)
+            return ProblemInstance.make(self.vars, self.f, self.ann)
         except ValueError as exc:
             raise InputError(str(exc)) from None
 

@@ -13,6 +13,7 @@ reported.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import mpmath
@@ -75,9 +76,7 @@ class LogSection:
     def _empty(self, fpow):
         """An empty section over the same tower at f power fpow, sharing the
         basis of I."""
-        out = object.__new__(LogSection)
-        out.inst, out.symbolic, out.a, out.sig, out.f, out._gb = (
-            self.inst, self.symbolic, self.a, self.sig, self.f, self._gb)
+        out = copy.copy(self)
         out.fpow = fpow
         out.entries = {}
         return out
@@ -89,13 +88,8 @@ class LogSection:
             raise OracleError("sections over different towers")
         return _sum([self, other])
 
-    def scale(self, c):
-        out = self._empty(self.fpow)
-        out.entries = {j: op.scale(c) for j, op in self.entries.items()}
-        return out
-
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + _map(other, lambda op: -op)
 
     # -- zero testing --------------------------------------------------------------
     def is_zero(self):
@@ -151,10 +145,8 @@ def _map(sec, fn, dk=0):
 
 
 def _apply_gen(sec, name):
-    """Action of the generator called name on the section sec."""
+    """Action of t, dt or the derivative called name on the section sec."""
     inst, sig, f = sec.inst, sec.sig, sec.f
-    if name in ("s", "t", "dt") and not sec.symbolic:
-        raise OracleError(f"{name} acts on symbolic sections only")
     if name == "t":
         # t acts through the Mellin identification as E_s: shift s, multiply by f
         return _map(sec, lambda op: f * op.shift_extra("s", 1))
@@ -162,9 +154,6 @@ def _apply_gen(sec, name):
         # dt = -s E_s^{-1}: shift s by -1, raise the f power by one, multiply by -s
         s = WeylOperator.gen(sig, "s")
         return _map(sec, lambda op: -s * op.shift_extra("s", -1), dk=1)
-    if name == "s" or name in inst.x_names:
-        g = WeylOperator.gen(sig, name)
-        return _map(sec, lambda op: g * op)
     # d_i (f^{-k} f^e log^j (x) op u) =
     #   f^{-(k+1)} f^e log^j (x) (f d_i + (e-k) f_i) op u
     # + j f^{-(k+1)} f^e log^(j-1) (x) f_i op u
@@ -184,19 +173,28 @@ def apply_log_section(P, v):
     """Exact action of P on the section v.
 
     P may live in D_n, D_n[s] or D_{n+1} (x-names must match the instance);
-    monomial factors act right to left.  Numeric-exponent sections only admit
-    D_n operators.
+    numeric-exponent sections only admit operators over their own D_n.  With
+    P = sum_b Q_b D^b (D^b a monomial in the d_i, t and dt; Q_b in the x's
+    and s), each D^b v is built once, by the leftmost factor of D^b acting on
+    the cached section of the rest, so dt acts before t and t before the d_i.
     """
     psig = P.sig
     if psig.x_names != v.inst.x_names:
         raise SignatureMismatch("operator over different x variables")
-    parts = []
-    for m, c in P.exponent_terms().items():
-        cur = v.scale(c)
-        for name, e in reversed(list(zip(psig.names, m))):
-            for _ in range(e):
-                cur = _apply_gen(cur, name)
-        parts.append(cur)
+    if not v.symbolic and psig != v.sig:
+        raise OracleError("s, t and dt act on symbolic sections only")
+    dnames = psig.names[psig.n_x:2 * psig.n_x + 2 * psig.has_t]
+    cache = {(0,) * len(dnames): v}
+
+    def act(b):
+        if b not in cache:
+            i = next(i for i, e in enumerate(b) if e)
+            rest = b[:i] + (b[i] - 1,) + b[i + 1:]
+            cache[b] = _apply_gen(act(rest), dnames[i])
+        return cache[b]
+
+    parts = [_map(act(b), lambda op, Q=Q: Q * op)
+             for b, Q in P.coefficients(dnames, v.sig).items()]
     return _sum(parts) if parts else v._empty(v.fpow)
 
 

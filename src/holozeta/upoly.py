@@ -165,15 +165,14 @@ class UPoly:
         return acc
 
     def shift(self, a):
-        """P(s) -> P(s + a)."""
+        """P(s) -> P(s + a), by Horner's rule in place: pass i is a synthetic
+        division by s - a that leaves the coefficient of s^i final."""
         a = QQ(a)
-        out = UPoly.zero()
-        for e, c in enumerate(self.c):
-            if not c:
-                continue
-            row = [c * math.comb(e, k) * a ** (e - k) for k in range(e + 1)]
-            out = out + UPoly(row)
-        return out
+        c = list(self.c)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return UPoly(c)
 
     # -- root bookkeeping --------------------------------------------------------
     def rational_roots(self):

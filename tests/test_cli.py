@@ -352,6 +352,16 @@ def test_malformed_assume_saturated_is_input_error(value, tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_repeated_key_is_input_error(tmp_path, capsys):
+    # a later line must not silently override an earlier one
+    p = tmp_path / "twice.prob"
+    p.write_text("vars: x\nf: x\nf: x^2\nannihilator: dx\nassume_saturated: true\n")
+    with pytest.raises(InputError, match=r"repeated key 'f' \(line 3\)"):
+        ProblemFile.load(str(p))
+    assert run(["bfun", str(p)]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_assume_saturated_values(tmp_path):
     p = tmp_path / "ok.prob"
     for text, value in [("true", True), ("YES", True), ("1", True), ("True", True),

@@ -1,5 +1,6 @@
 """The verification oracle: exact log-section actions and numeric quadrature."""
 import math
+import os
 import random
 
 import mpmath
@@ -23,7 +24,10 @@ from holozeta import (
     residual_check,
     tau_substitute,
 )
+from holozeta.cli import ProblemFile
 from holozeta.oracle import M_CAP, LogSection, OracleError, annihilates
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 W = WeylOperator
 
@@ -97,18 +101,32 @@ def test_malgrange_annihilates_fs(inst_cusp, inst_gamma, inst_ex3):
             assert annihilates(g, section)
 
 
-def test_linearity_and_composition(inst_cusp):
-    rng = random.Random(37)
-    sig_s = inst_cusp.sig_s
-    v = LogSection.fs(inst_cusp, j=1)
-    for _ in range(10):
-        P, Q = rand_op(sig_s, rng), rand_op(sig_s, rng)
+def _check_linearity_and_composition(v, pairs):
+    for P, Q in pairs:
         both = apply_log_section(P + Q, v)
         sep = apply_log_section(P, v) + apply_log_section(Q, v)
         assert (both - sep).is_zero()
         comp = apply_log_section(P * Q, v)
         nested = apply_log_section(P, apply_log_section(Q, v))
         assert (comp - nested).is_zero()
+
+
+def test_linearity_and_composition(inst_cusp):
+    rng = random.Random(37)
+    sig_s = inst_cusp.sig_s
+    pairs = [(rand_op(sig_s, rng), rand_op(sig_s, rng)) for _ in range(10)]
+    _check_linearity_and_composition(LogSection.fs(inst_cusp, j=1), pairs)
+
+
+def test_linearity_and_composition_with_t_dt(inst_cusp):
+    # [dt, t] = 1, so products over D_{n+1} pin the order in which the
+    # factors of a normally ordered monomial act: dt first, then t
+    rng = random.Random(41)
+    sig = d_np1(("x", "y"))
+    t, dt = W.gen(sig, "t"), W.gen(sig, "dt")
+    pairs = [(dt, t), (t * dt, dt * t)]
+    pairs += [(rand_op(sig, rng, 3), rand_op(sig, rng, 3)) for _ in range(10)]
+    _check_linearity_and_composition(LogSection.fs(inst_cusp, j=1), pairs)
 
 
 def test_functional_identity_is_oracle_checked(inst_xsq):
@@ -118,6 +136,29 @@ def test_functional_identity_is_oracle_checked(inst_xsq):
     lhs = apply_log_section(eqn.P0, LogSection.fs(inst_xsq, mult=inst_xsq.f))
     rhs = apply_log_section(b.as_operator(inst_xsq.sig_s), LogSection.fs(inst_xsq))
     assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("name", ["cusp", "cusp_gauss", "ex3", "ex4", "ex5", "gamma",
+                                  "x^3 + y^5", "x^2 + y^3 + z^4"])
+def test_exact_checks(name):
+    # verify's exact checks on the shipped problems and two phi = 1 inputs;
+    # x^2 + y^3 + z^4 has a P0 of 693 terms, so --durations times the oracle
+    if "^" in name:
+        xs = ("x", "y", "z")[:name.count("+") + 1]
+        prob = ProblemFile(xs, name, ["d" + x for x in xs], assume_saturated=True)
+    else:
+        prob = ProblemFile.load(os.path.join(PROBLEMS, name + ".prob"))
+    inst = prob.instance()
+    ann = ann_fs(inst)
+    b = bfunction(ann, inst.f)
+    P0 = functional_operator(ann, inst.f, b).P0
+    section = LogSection.fs(inst)
+    assert all(annihilates(g, section) for g in ann.basis())
+    rhs = apply_log_section(b.as_operator(inst.sig_s), section)
+    f_section = LogSection.fs(inst, mult=inst.f)
+    assert (apply_log_section(P0, f_section) - rhs).is_zero()
+    s = W.gen(inst.sig_s, "s")
+    assert not (apply_log_section(P0 + s, f_section) - rhs).is_zero()
 
 
 def test_vanishing_m_reported(inst_x):
@@ -134,7 +175,7 @@ def test_vanishing_m_on_unsaturated_module():
     # M = D_1/<x dx> is not x-saturated: dx u != 0 but x dx u = 0
     sig = d_n(("x",))
     x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
-    inst = ProblemInstance.make(("x",), x, [x * dx], saturated=False)
+    inst = ProblemInstance.make(("x",), x, [x * dx])
     assert LogSection.fs(inst, mult=dx).vanishing_m() == 1
     assert LogSection.fs(inst, mult=dx).is_zero()
     # no power x^m with m <= M_CAP sends u into <x dx>
@@ -147,7 +188,7 @@ def test_annihilation_on_unsaturated_module_above_f_power_zero():
     # x (x dx u) = 0), and every dx raises the section's f power
     sig = d_n(("x",))
     x, dx = W.gen(sig, "x"), W.gen(sig, "dx")
-    inst = ProblemInstance.make(("x",), x, [x * x * dx], saturated=False)
+    inst = ProblemInstance.make(("x",), x, [x * x * dx])
     x, dx, s = (W.gen(inst.sig_s, n) for n in ("x", "dx", "s"))
     section = LogSection.fs(inst)
     for op in (x * dx - s, x * x * dx - s * x, dx * x - s - 1):

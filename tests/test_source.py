@@ -56,7 +56,7 @@ def test_every_definition_is_referenced():
     assert not dead, f"defined in src/holozeta but never referenced: {dead}"
 
 
-# the statistics of the last engine run; ROADMAP item 2 removes it
+# the statistics of the last engine run; the run trace (ROADMAP item 1) removes it
 ALLOWED_GLOBALS = {("weyl_core.py", "_LAST_STATS")}
 
 

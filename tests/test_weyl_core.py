@@ -657,6 +657,14 @@ def test_upoly_arithmetic_and_roots():
     assert _root_multiplicity(sq, QQ(-5, 6)) == 2
 
 
+def test_upoly_shift_matches_binomial_expansion():
+    rng = random.Random(43)
+    for a in (QQ(3), QQ(-5, 6), QQ(0)):
+        p = UPoly([QQ(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(21)])
+        expected = sum((c * UPoly((a, 1)) ** e for e, c in enumerate(p.c)), UPoly.zero())
+        assert p.shift(a) == expected
+
+
 def _root_multiplicity(p, r):
     m = 0
     lin = UPoly((-r, 1))
