@@ -49,6 +49,13 @@ class ProblemInstance:
 
     def __post_init__(self):
         sig = self.sig
+        for x in self.x_names:
+            # the widest rings of the pipeline: D_n[s] and D_{n+1}[sigma, tau_h, h]
+            try:
+                d_n_s((x,))
+                RingSignature((x,), True, ("sigma", "tau_h"), True)
+            except SignatureMismatch:
+                raise ValueError(f"variable name {x!r} is reserved") from None
         if self.f.sig != sig:
             raise SignatureMismatch("f must live in D_n")
         if any(g.sig != sig for g in self.I_gens):

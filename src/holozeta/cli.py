@@ -35,6 +35,7 @@ from .weyl_core import (
     MAX_EXPONENT,
     QQ,
     GBTimeout,
+    SignatureMismatch,
     TermOrder,
     WeylOperator,
     d_n,
@@ -60,150 +61,90 @@ class InputError(ValueError):
 # all products explicit, exponents nonnegative integers
 # ---------------------------------------------------------------------------
 
-class _Lexer:
-    def __init__(self, text, line=1):
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.toks = []
-        self._lex()
-        self.i = 0
-
-    def _lex(self):
-        t, i = self.text, 0
-        while i < len(t):
-            c = t[i]
-            if c.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if c.isdigit():
-                j = i
-                while j < len(t) and t[j].isdigit():
-                    j += 1
-                self.toks.append(("int", t[i:j], col))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.toks.append(("name", t[i:j], col))
-                i = j
-            elif c in "+-*^()/":
-                self.toks.append((c, c, col))
-                i += 1
-            else:
-                raise InputError(f"unexpected character {c!r}", self.line, col)
-        self.toks.append(("end", "", len(t) + 1))
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-
-class _Parser:
-    """Recursive descent for the operator grammar over a fixed signature."""
-
-    def __init__(self, sig, text, line=1):
-        self.sig = sig
-        self.lex = _Lexer(text, line)
-        self.line = line
-
-    def parse(self):
-        try:
-            op = self._expr()
-        except OverflowError as exc:
-            raise InputError(str(exc), self.line) from None
-        kind, val, col = self.lex.peek()
-        if kind != "end":
-            raise InputError(f"unexpected {val!r}", self.line, col)
-        return op
-
-    def _expr(self):
-        kind, _, _ = self.lex.peek()
-        negate = False
-        if kind in "+-":
-            negate = self.lex.next()[0] == "-"
-        op = self._term()
-        if negate:
-            op = -op
-        while True:
-            kind, _, _ = self.lex.peek()
-            if kind == "+":
-                self.lex.next()
-                op = op + self._term()
-            elif kind == "-":
-                self.lex.next()
-                op = op - self._term()
-            else:
-                return op
-
-    def _term(self):
-        op = self._factor()
-        while True:
-            kind, val, col = self.lex.peek()
-            if kind == "*":
-                self.lex.next()
-                op = op * self._factor()
-            elif kind in ("int", "name", "("):
-                raise InputError("juxtaposition not allowed; use *", self.line, col)
-            else:
-                return op
-
-    def _factor(self):
-        base = self._atom()
-        kind, _, _ = self.lex.peek()
-        if kind == "^":
-            self.lex.next()
-            k2, val, col = self.lex.next()
-            neg = False
-            if k2 == "-":
-                neg = True
-                k2, val, col = self.lex.next()
-            if k2 != "int":
-                raise InputError("exponent must be an integer", self.line, col)
-            if neg:
-                raise InputError("negative exponents are not allowed", self.line, col)
-            if int(val) > MAX_EXPONENT:
-                raise InputError(f"exponent {val} above {MAX_EXPONENT}", self.line, col)
-            return base ** int(val)
-        return base
-
-    def _atom(self):
-        kind, val, col = self.lex.next()
-        if kind == "int":
-            num = int(val)
-            k2, v2, _ = self.lex.peek()
-            if k2 == "/":
-                self.lex.next()
-                k3, v3, col3 = self.lex.next()
-                if k3 != "int":
-                    raise InputError("malformed rational", self.line, col3)
-                if int(v3) == 0:
-                    raise InputError("zero denominator", self.line, col3)
-                return WeylOperator.constant(self.sig, QQ(num, int(v3)))
-            return WeylOperator.constant(self.sig, num)
-        if kind == "name":
-            try:
-                return WeylOperator.gen(self.sig, val)
-            except Exception:
-                raise InputError(f"unknown variable {val!r}", self.line, col) from None
-        if kind == "(":
-            op = self._expr()
-            k2, _, col2 = self.lex.next()
-            if k2 != ")":
-                raise InputError("expected )", self.line, col2)
-            return op
-        raise InputError(f"unexpected {val or kind!r}", self.line, col)
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 def parse_operator(text, sig, line=1):
     """Parse an operator expression into normally ordered form."""
-    return _Parser(sig, text, line).parse()
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise InputError(f"unexpected character {m[0]!r}", line, m.start() + 1)
+        toks.append((m[0] if m.lastgroup == "op" else m.lastgroup, m[0], m.start() + 1))
+    toks.append(("end", "", len(text) + 1))
+    toks.reverse()          # toks[-1] is the next token, toks.pop() takes it
+
+    def expr():
+        negate = toks[-1][0] in "+-" and toks.pop()[0] == "-"
+        op = term()
+        if negate:
+            op = -op
+        while toks[-1][0] in "+-":
+            sign = toks.pop()[0]
+            rhs = term()
+            op = op + rhs if sign == "+" else op - rhs
+        return op
+
+    def term():
+        op = factor()
+        while toks[-1][0] == "*":
+            toks.pop()
+            op = op * factor()
+        kind, _, col = toks[-1]
+        if kind in ("int", "name", "("):
+            raise InputError("juxtaposition not allowed; use *", line, col)
+        return op
+
+    def factor():
+        base = atom()
+        if toks[-1][0] != "^":
+            return base
+        toks.pop()
+        kind, val, col = toks.pop()
+        negative = kind == "-"
+        if negative:
+            kind, val, col = toks.pop()
+        if kind != "int":
+            raise InputError("exponent must be an integer", line, col)
+        if negative:
+            raise InputError("negative exponents are not allowed", line, col)
+        if int(val) > MAX_EXPONENT:
+            raise InputError(f"exponent {val} above {MAX_EXPONENT}", line, col)
+        return base ** int(val)
+
+    def atom():
+        kind, val, col = toks.pop()
+        if kind == "int":
+            if toks[-1][0] != "/":
+                return WeylOperator.constant(sig, int(val))
+            toks.pop()
+            kind, den, col = toks.pop()
+            if kind != "int":
+                raise InputError("malformed rational", line, col)
+            if int(den) == 0:
+                raise InputError("zero denominator", line, col)
+            return WeylOperator.constant(sig, QQ(int(val), int(den)))
+        if kind == "name":
+            try:
+                return WeylOperator.gen(sig, val)
+            except SignatureMismatch:
+                raise InputError(f"unknown variable {val!r}", line, col) from None
+        if kind == "(":
+            op = expr()
+            kind, _, col = toks.pop()
+            if kind != ")":
+                raise InputError("expected )", line, col)
+            return op
+        raise InputError(f"unexpected {val or kind!r}", line, col)
+
+    try:
+        op = expr()
+    except OverflowError as exc:
+        raise InputError(str(exc), line) from None
+    kind, val, col = toks[-1]
+    if kind != "end":
+        raise InputError(f"unexpected {val!r}", line, col)
+    return op
 
 
 # ---------------------------------------------------------------------------

@@ -503,15 +503,6 @@ class WeylOperator:
         sh = self.sig._pk.shifts[i]
         return any((m >> sh) & 0x7FFF for m in self.terms)
 
-    def _lead(self, order):
-        return max(self.terms, key=_make_keyf(order, self.sig._pk))
-
-    def lm(self, order):
-        return _unpack(self.sig._pk, self._lead(order))
-
-    def lc(self, order):
-        return self.terms[self._lead(order)]
-
     def sorted_terms(self, order):
         pk = self.sig._pk
         keyf = _make_keyf(order, pk)

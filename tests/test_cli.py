@@ -69,6 +69,14 @@ def test_parse_errors_carry_position():
     assert err is not None and "line" in str(err)
 
 
+@pytest.mark.parametrize("text", [
+    "²", "3²", "x^²", "½", "x +", "()", "(x", "x)", "", "x^-", "1/", "1/x", "x/2", "é",
+    "x^99999", "2x", "x y", "x^2^", "--x", "1/0", "x^-1", "dx^32767*x^32767*dx"])
+def test_malformed_operator_is_input_error_with_position(text):
+    with pytest.raises(InputError, match=r"\(line "):
+        parse_operator(text, d_n(("x",)))
+
+
 def test_print_parse_round_trip_random():
     import random
     rng = random.Random(77)
@@ -196,6 +204,27 @@ def test_run_input_error_exit_3(tmp_path, capsys):
     rc = run(["bfun", str(tmp_path / "missing.prob")])
     capsys.readouterr()
     assert rc == 3
+
+
+def test_run_non_ascii_digit_is_input_error_naming_its_line(tmp_path, capsys):
+    p = tmp_path / "superscript.prob"
+    p.write_text("vars: x\nf: 3*²\nannihilator: dx\nassume_saturated: true\n")
+    rc = run(["bfun", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("input error:") and "(line 2, col 3)" in err
+
+
+@pytest.mark.parametrize("command", ["ann-fs", "bfun", "zeta-diff"])
+@pytest.mark.parametrize("name", ["t", "dt", "s", "sigma", "tau_h", "h"])
+def test_run_reserved_variable_name_is_input_error(name, command, tmp_path, capsys):
+    p = tmp_path / "reserved.prob"
+    p.write_text(f"vars: x, {name}\nf: x^2 + {name}\nannihilator: dx, d{name}\n"
+                 "assume_saturated: true\n")
+    rc = run([command, str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"input error: variable name {name!r} is reserved\n"
 
 
 def test_run_timeout_exit_2(capsys):

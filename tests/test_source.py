@@ -56,6 +56,30 @@ def test_every_definition_is_referenced():
     assert not dead, f"defined in src/holozeta but never referenced: {dead}"
 
 
+
+def _broad_handlers(tree):
+    """(line, enclosing function) of each handler that catches every exception."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(t is None or isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+               for t in types):
+            scope = parent[node]
+            while scope is not tree and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            yield node.lineno, getattr(scope, "name", None)
+
+
+def test_broad_handlers_only_in_cli_run():
+    # cli.run maps every failure it does not know to exit 4; anywhere else a
+    # broad handler would pass an internal failure off as something else
+    found = [f"{path.name}:{line} in {scope}" for path in sorted(SRC.glob("*.py"))
+             for line, scope in _broad_handlers(ast.parse(path.read_text()))
+             if (path.name, scope) != ("cli.py", "run")]
+    assert not found, f"broad exception handlers outside cli.run: {found}"
+
 # the statistics of the last engine run; the run trace (ROADMAP item 1) removes it
 ALLOWED_GLOBALS = {("weyl_core.py", "_LAST_STATS")}
 
