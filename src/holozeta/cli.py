@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -64,12 +65,27 @@ class InputError(ValueError):
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
+def _top_exponents(op):
+    """Each generator's largest exponent in a nonzero operator.  These add
+    under multiplication: for the weight 1 on one generator and 0 on the
+    others, the associated graded ring of the Weyl algebra is a polynomial
+    ring, a domain, so the top-weight parts of two factors multiply to a
+    nonzero top-weight part of their product."""
+    return [max(col) for col in zip(*op.exponent_terms())]
+
+
 def parse_operator(text, sig, line=1):
-    """Parse an operator expression into normally ordered form."""
+    """Parse an operator expression into normally ordered form.  A product
+    or power whose exponents would pass MAX_EXPONENT, or a constant that
+    could not be printed in sys.get_int_max_str_digits() digits, is an input
+    error found before it is computed."""
+    digits = sys.get_int_max_str_digits()
     toks = []
     for m in _TOKEN.finditer(text):
         if m.lastgroup == "bad":
             raise InputError(f"unexpected character {m[0]!r}", line, m.start() + 1)
+        if m.lastgroup == "int" and digits and len(m[0]) > digits:
+            raise InputError(f"integer with more than {digits} digits", line, m.start() + 1)
         toks.append((m[0] if m.lastgroup == "op" else m.lastgroup, m[0], m.start() + 1))
     toks.append(("end", "", len(text) + 1))
     toks.reverse()          # toks[-1] is the next token, toks.pop() takes it
@@ -86,19 +102,34 @@ def parse_operator(text, sig, line=1):
         return op
 
     def term():
-        op = factor()
+        # each factor is a (base, exponent) pair, expanded only once the
+        # exponents of the whole product are known to fit
+        factors = [factor()]
         while toks[-1][0] == "*":
             toks.pop()
-            op = op * factor()
+            factors.append(factor())
         kind, _, col = toks[-1]
         if kind in ("int", "name", "("):
             raise InputError("juxtaposition not allowed; use *", line, col)
+        top = [0] * sig.nslots
+        for base, e in factors:
+            if not e:           # base^0 = 1
+                continue
+            if not base:        # the product is 0 from here on
+                break
+            top = [a + e * b for a, b in zip(top, _top_exponents(base))]
+            if max(top) > MAX_EXPONENT:
+                raise InputError(f"exponent above {MAX_EXPONENT} in a product", line)
+        op = None
+        for base, e in factors:
+            power = base if e == 1 else base ** e
+            op = power if op is None else op * power
         return op
 
     def factor():
         base = atom()
         if toks[-1][0] != "^":
-            return base
+            return base, 1
         toks.pop()
         kind, val, col = toks.pop()
         negative = kind == "-"
@@ -108,9 +139,14 @@ def parse_operator(text, sig, line=1):
             raise InputError("exponent must be an integer", line, col)
         if negative:
             raise InputError("negative exponents are not allowed", line, col)
-        if int(val) > MAX_EXPONENT:
+        e = int(val)
+        if e > MAX_EXPONENT:
             raise InputError(f"exponent {val} above {MAX_EXPONENT}", line, col)
-        return base ** int(val)
+        c = base.terms.get(0)
+        if (digits and base.terms.keys() == {0}
+                and e * math.log10(max(abs(c.numerator), c.denominator)) >= digits):
+            raise InputError(f"constant power with more than {digits} digits", line, col)
+        return base, e
 
     def atom():
         kind, val, col = toks.pop()

@@ -700,16 +700,38 @@ class TermOrder:
 # division and Buchberger on labelled packed monomials
 # ---------------------------------------------------------------------------
 
-class _Red:
-    __slots__ = ("lm", "comp", "lc", "terms", "sugar", "key")
+class _Keys(dict):
+    """Order keys of labelled packed monomials, each made by keyf on its
+    first lookup; the dict lives as long as the reducers that hold it."""
 
-    def __init__(self, terms, keyf, pk):
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, lab):
+        key = self[lab] = self.keyf(lab)
+        return key
+
+
+class _Red:
+    """A primitive integer labelled term dict as a reducer: terms come
+    leading term first, and key is the key of that leading monomial."""
+
+    __slots__ = ("lm", "comp", "lc", "terms", "key")
+
+    def __init__(self, terms, key, pk):
         self.terms = tuple(terms.items())
-        self.lm = max(terms, key=keyf)
+        self.lm, self.lc = self.terms[0]
         self.comp = self.lm >> pk.cshift
-        self.lc = terms[self.lm]
-        self.key = keyf(self.lm)
-        self.sugar = max(_pdeg(pk, lab) for lab in terms)
+        self.key = key
+
+    @classmethod
+    def lead(cls, terms, keys, pk):
+        """The reducer of a term dict whose terms come in any order."""
+        lm = max(terms, key=keys.__getitem__)
+        return cls({lm: terms[lm], **terms}, keys[lm], pk)
 
 
 def _integral(terms):
@@ -732,14 +754,15 @@ class _Reducers:
     """A basis as primitive integer _Reds (reds, in the order added) and, per
     leading component, the scan list in which _nf takes the first divisor:
     in the order added, or sparsest first (stable) when sparsest is set, for
-    less fill-in while the Groebner engine completes a basis.  A timeout in
-    _nf reports stage and, while the engine completes the basis, the count of
-    its pending pairs."""
+    less fill-in while the Groebner engine completes a basis.  keys holds the
+    order key of each monomial _nf meets, and reducer sets of one
+    computation share it.  A timeout in _nf reports stage and, while the
+    engine completes the basis, the count of its pending pairs."""
 
     pending = ()
 
-    def __init__(self, keyf, pk, stage, sparsest=False):
-        self.keyf = keyf
+    def __init__(self, keys, pk, stage, sparsest=False):
+        self.keys = keys
         self.pk = pk
         self.stage = stage
         self.sparsest = sparsest
@@ -749,11 +772,11 @@ class _Reducers:
     @classmethod
     def of(cls, order, pk, basis, stage="normal-form"):
         """The reducers of rational labelled term dicts under a TermOrder."""
-        keyf = _make_keyf(order, pk)
-        out = cls(keyf, pk, stage)
+        keys = _Keys(_make_keyf(order, pk))
+        out = cls(keys, pk, stage)
         for terms in basis:
             if terms:
-                out.add(_Red(_integral(terms)[1], keyf, pk))
+                out.add(_Red.lead(_integral(terms)[1], keys, pk))
         return out
 
     def add(self, red):
@@ -782,17 +805,18 @@ def _nf(p, reducers):
     times the rational one, term for term.  A step's multiplier (mostly 1) is
     applied at once to the unreduced terms, but to the remainder only at the
     end, since no later step touches its terms.  The reducer is the first
-    divisor in the scan list of the term's component.  Past the time_limit
-    deadline it raises GBTimeout.
+    divisor in the scan list of the term's component.  Terms leave the work
+    dict in descending order, so the remainder lists its leading term first.
+    Past the time_limit deadline it raises GBTimeout.
     """
     deadline = _DEADLINE.get()
-    pk, keyf, scan = reducers.pk, reducers.keyf, reducers.scan
+    pk, keys, scan = reducers.pk, reducers.keys, reducers.scan
     work = dict(p)
     mult = 1                   # product of the step multipliers so far
     rem = []                   # (lab, coeff, mult when it was moved)
     guard = pk.guard
     cs = pk.cshift
-    heap = [(-keyf(lab), lab) for lab in work]
+    heap = [(-keys[lab], lab) for lab in work]
     heapq.heapify(heap)
     push = heapq.heappush
     touched = []
@@ -823,7 +847,7 @@ def _nf(p, reducers):
         _term_mul_into(pk, work, -b, quot, red.terms, touched)
         for lab2 in touched:
             if lab2 != lab:
-                push(heap, (-keyf(lab2), lab2))
+                push(heap, (-keys[lab2], lab2))
         if lab in work:  # cancellation is exact; the leading term must go
             raise AssertionError("leading term failed to cancel")
     return mult, {lab: c * (mult // then) for lab, c, then in rem}
@@ -981,9 +1005,11 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
     lie in that set; the other components ride along as exact payload (used
     for representation tracking, where completeness is only needed in
     front), and every pair is queued and tested by the chain criterion only
-    when it is popped, so the payload does not depend on the update.
-    stats.pairs_considered counts the pairs formed and pairs_skipped those
-    a criterion dropped; the rest were reduced.
+    when it is popped, so the payload does not depend on the update.  The
+    result is then the minimal basis without tail reduction: primitive
+    integer dicts, leading term first, by degree and then key of their
+    leading monomials.  stats.pairs_considered counts the pairs formed and
+    pairs_skipped those a criterion dropped; the rest were reduced.
 
     hilbert_target, for input homogeneous in total degree, is the packed
     leading monomials of a Groebner basis of the same ideal under another
@@ -1006,15 +1032,21 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
             raise NonHomogeneousInput("a Hilbert target needs homogeneous input")
         target = _hilbert_numerator(pk, hilbert_target)
         gap, grown = [], -1    # N(<lm G>) - N(target), as of len(basis) == grown
-    keyf = _make_keyf(order, pk)
+    keys = _Keys(_make_keyf(order, pk))
     guard = pk.guard
     cs = pk.cshift
 
-    reducers = _Reducers(keyf, pk, stage, sparsest=True)
-    for r in sorted((_Red(_integral(g)[1], keyf, pk) for g in gens if g),
-                    key=lambda r: r.key):
-        reducers.add(r)
+    reducers = _Reducers(keys, pk, stage, sparsest=True)
     basis = reducers.reds
+    sugars = []      # per basis element, its largest total degree
+
+    def grow(red):
+        reducers.add(red)
+        sugars.append(max(_pdeg(pk, lab) for lab, _ in red.terms))
+
+    for r in sorted((_Red.lead(_integral(g)[1], keys, pk) for g in gens if g),
+                    key=lambda r: r.key):
+        grow(r)
 
     def divides(a, b):
         d = b - a
@@ -1051,9 +1083,9 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
         stats.pairs_skipped += len(formed) - len(kept)
         for i, l in kept:
             dl = _pdeg(pk, l)
-            sugar = max(r.sugar + dl - _pdeg(pk, r.lm) for r in (basis[i], rj))
+            sugar = max(sugars[k] + dl - _pdeg(pk, basis[k].lm) for k in (i, j))
             queued[i, j] = l
-            heapq.heappush(pairs, (sugar, keyf(l), i, j, l))
+            heapq.heappush(pairs, (sugar, keys[l], i, j, l))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -1090,32 +1122,64 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
         rem = _nf(s, reducers)[1]
         if rem:
             g = math.gcd(*rem.values())
-            reducers.add(_Red({m: c // g for m, c in rem.items()}, keyf, pk))
+            grow(_Red({m: c // g for m, c in rem.items()}, keys[next(iter(rem))], pk))
             add_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
 
     # minimalize: by degree, then key, keep the elements no kept one divides
     # (a divisor has the lower degree; under a negative weight, not the lower key)
-    kept = _Reducers(keyf, pk, stage)
+    kept = _Reducers(keys, pk, stage)
     for r in sorted(basis, key=lambda r: (_pdeg(pk, r.lm), r.key)):
         if not any(divides(k.lm, r.lm) for k in kept.scan.get(r.comp, ())):
             kept.add(r)
     if hilbert_target is not None and _hilbert_numerator(
             pk, [r.lm for r in kept.reds]) != target:
         raise AssertionError("the leading ideal does not have the Hilbert target's numerator")
-    # tail-reduce each against the others
+    stats.basis_size = len(kept.reds)
+    if pair_components is not None:
+        return [dict(r.terms) for r in kept.reds]
+    # tail-reduce each against the others; the leading monomial stays
     reduced = []
-    for r in kept.reds:
-        scan = kept.scan[r.comp]
-        at = scan.index(r)
-        del scan[at]
-        rem = _nf(dict(r.terms), kept)[1]
-        scan.insert(at, r)
-        reduced.append(_rational(rem, QQ(rem[max(rem, key=keyf)])))
-    reduced.sort(key=lambda t: keyf(max(t, key=keyf)))
-    stats.basis_size = len(reduced)
+    for r in sorted(kept.reds, key=lambda r: r.key):
+        rem = _tail_reduced(r, kept)
+        reduced.append(_rational(rem, QQ(rem[r.lm])))
     return reduced
+
+
+def _tail_reduced(red, kept):
+    """The integer remainder of red, one of the reducers in kept, by the
+    others, leading term first."""
+    scan = kept.scan[red.comp]
+    at = scan.index(red)
+    del scan[at]
+    rem = _nf(dict(red.terms), kept)[1]
+    scan.insert(at, red)
+    return rem
+
+
+class _TailReduced:
+    """A row of a minimal basis as a reducer whose tail is reduced only when
+    _nf first picks it: lm and comp are the row's at once; lc and terms are
+    made on first use, the row reduced by the basis's other rows and made
+    primitive with a positive leading coefficient."""
+
+    __slots__ = ("lm", "comp", "lc", "terms", "_row", "_minimal")
+
+    def __init__(self, row, minimal):
+        self.lm, self.comp = row.lm, row.comp
+        self._row, self._minimal = row, minimal
+
+    def __getattr__(self, name):        # reached only while lc and terms are unset
+        if name not in ("lc", "terms"):
+            raise AttributeError(name)
+        rem = _tail_reduced(self._row, self._minimal)
+        g = math.gcd(*rem.values())
+        if rem[self.lm] < 0:
+            g = -g
+        self.terms = tuple((m, c // g) for m, c in rem.items())
+        self.lc = self.terms[0][1]
+        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,7 +1335,9 @@ def represent(p, gens, stage="represent"):
     Extended Buchberger: a Groebner basis of the ideal is completed in the
     leading component of {(g_i, e_i)} while the unit-vector payload records
     exact representations; the tail of the normal form of (p, 0, ..., 0)
-    against the front-headed elements is minus a representation of p.
+    against the front-headed elements of the reduced basis is minus a
+    representation of p.  Those elements are taken in ascending key order,
+    and only the ones the division picks are tail-reduced.
     """
     sig = p.sig
     pk = sig._pk
@@ -1281,11 +1347,16 @@ def represent(p, gens, stage="represent"):
     # pair_components keeps the engine's pop-time chain criterion here, not
     # the Gebauer–Möller update: the payload rows, and so the cofactors and
     # the printed P0 of funceq, depend on which pairs are reduced
-    basis = groebner_engine(aug, sig, order, stage, pair_components={0})
-    # component 0 sits above the others: an element is front-headed iff it
-    # has a term there
-    front = _Reducers.of(order, pk, [b for b in basis
-                                     if any(m >> pk.cshift == 0 for m in b)], stage)
+    rows = groebner_engine(aug, sig, order, stage, pair_components={0})
+    keys = _Keys(_make_keyf(order, pk))
+    minimal = _Reducers(keys, pk, stage)
+    for row in rows:
+        minimal.add(_Red(row, keys[next(iter(row))], pk))
+    # component 0 sits above the others: the front-headed rows are those
+    # with a term there; each is tail-reduced only if the remainder uses it
+    front = _Reducers(keys, pk, stage)
+    for r in sorted(minimal.scan.get(0, ()), key=lambda r: r.key):
+        front.add(_TailReduced(r, minimal))
     vec = _split(pk, front.remainder(p.terms), sig, k + 1)
     if not vec[0].is_zero():
         return None

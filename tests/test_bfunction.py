@@ -223,6 +223,34 @@ def test_functional_operator_cusp_oracle_identity(inst_cusp):
     assert (lhs - rhs).is_zero()
 
 
+def test_functional_operator_tail_reduces_only_the_rows_it_uses(monkeypatch):
+    # represent reads few rows of its minimal basis: x^2 + y^3 + z^4's
+    # remainder of b picks a handful of the front-headed ones, and only
+    # those are tail-reduced
+    import holozeta.weyl_core as wc
+    sig = d_n(("x", "y", "z"))
+    x, y, z, dx, dy, dz = (W.gen(sig, n) for n in ("x", "y", "z", "dx", "dy", "dz"))
+    inst = ProblemInstance.make(("x", "y", "z"), x ** 2 + y ** 3 + z ** 4, [dx, dy, dz])
+    ann = ann_fs(inst)
+    b = bfunction(ann, inst.f)
+    tails, sizes = [], []
+    tail_reduced, engine = wc._tail_reduced, wc.groebner_engine
+
+    def counted_tail(red, kept):
+        tails.append(kept.stage)
+        return tail_reduced(red, kept)
+
+    def counted_engine(gens, sig, order, stage="groebner", *args, **kwargs):
+        out = engine(gens, sig, order, stage, *args, **kwargs)
+        sizes.append((stage, wc.last_gb_stats().basis_size))
+        return out
+    monkeypatch.setattr(wc, "_tail_reduced", counted_tail)
+    monkeypatch.setattr(wc, "groebner_engine", counted_engine)
+    functional_operator(ann, inst.f, b)
+    [minimal] = [n for stage, n in sizes if stage == "functional-operator"]
+    assert 0 < tails.count("functional-operator") < minimal
+
+
 def test_functional_operator_rejects_nonmember(inst_x):
     ann = ann_fs(inst_x)
     with pytest.raises(ValueError):

@@ -40,10 +40,16 @@ from holozeta.weyl_core import (
     GBStats,
     GBTimeout,
     _hilbert_numerator,
+    _Keys,
     _lcm,
     _make_keyf,
+    _nf,
     _pack,
     _pdeg,
+    _rational,
+    _Red,
+    _Reducers,
+    _split,
     _term_mul_into,
     _unpack,
     component_zero_ideal,
@@ -870,8 +876,10 @@ def _ref_nf(p, reds, pk, key, sparsest=False):
     return rem
 
 
-def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadline=None):
-    """(reduced monic basis, GBStats) by Buchberger over Q."""
+def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadline=None,
+                  minimal=False):
+    """(reduced monic basis, GBStats) by Buchberger over Q; with minimal,
+    the minimal basis before tail reduction instead, primitive rows."""
     pk = sig._pk
     key = _ref_key(order, pk)
     stats = GBStats()
@@ -945,6 +953,9 @@ def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadlin
     kept = [r for a, r in enumerate(basis)
             if not any(k.comp == r.comp and _ref_divides(pk, k.lm, r.lm)
                        and (k.lm != r.lm or b < a) for b, k in enumerate(basis) if b != a)]
+    if minimal:
+        stats.basis_size = len(kept)
+        return [dict(r.terms) for r in kept], stats
     reduced = []
     for r in kept:
         rem = _ref_nf(dict(r.terms), [k for k in kept if k is not r], pk, key)
@@ -955,9 +966,9 @@ def _ref_groebner(gens, sig, order, pair_components=None, criteria=True, deadlin
     return reduced, stats
 
 
-def _engine_and_reference(gens, sig, order, pair_components=None):
-    basis = groebner_engine(gens, sig, order, pair_components=pair_components)
-    return (basis, last_gb_stats()), _ref_groebner(gens, sig, order, pair_components)
+def _engine_and_reference(gens, sig, order):
+    basis = groebner_engine(gens, sig, order)
+    return (basis, last_gb_stats()), _ref_groebner(gens, sig, order)
 
 
 _COEFFS = [QQ(1), QQ(-1), QQ(2), QQ(-3), QQ(1, 3), QQ(-5, 2), QQ(7, 4)]
@@ -999,21 +1010,120 @@ def test_engine_matches_rational_buchberger_rank_two_pt():
     assert stats.pairs_considered > 0
 
 
-def test_engine_matches_rational_buchberger_represent_payload():
-    # the augmented input of represent: S-pairs only in component 0, the
-    # unit-vector payload riding along; on the second ideal the
-    # Gebauer–Möller update would reduce other pairs (15 skipped, not 9)
-    # and leave another payload basis (7 elements, not 10)
-    sig = d_n_s(("x",))
-    x, dx, s = (W.gen(sig, n) for n in ("x", "dx", "s"))
+def _augmented(gens):
+    """represent's input: each generator with its unit vector as payload."""
+    pk = gens[0].sig._pk
+    return [{**g.terms, (1 + i) << pk.cshift: QQ(1)} for i, g in enumerate(gens)]
+
+
+def _by_degree_and_key(rows, sig, order):
+    """Rows scaled to leading coefficient 1, by degree and then key of their
+    leading monomials."""
     pk = sig._pk
+    keyf = _make_keyf(order, pk)
+    led = sorted(((max(row, key=keyf), row) for row in rows),
+                 key=lambda t: (_pdeg(pk, t[0]), keyf(t[0])))
+    return [{m: QQ(c) / row[lm] for m, c in row.items()} for lm, row in led]
+
+
+def _eager_reduced(rows, sig, order):
+    """The reduced basis the engine once returned for represent: every row
+    of the minimal basis tail-reduced against the others, made monic, the
+    rows sorted by the key of their leading monomials."""
+    pk = sig._pk
+    keyf = _make_keyf(order, pk)
+    keys = _Keys(keyf)
+    kept = _Reducers(keys, pk, "reference")
+    for row in rows:
+        kept.add(_Red.lead(row, keys, pk))
+    reduced = []
+    for r in kept.reds:
+        scan = kept.scan[r.comp]
+        at = scan.index(r)
+        del scan[at]
+        rem = _nf(dict(r.terms), kept)[1]
+        scan.insert(at, r)
+        reduced.append(_rational(rem, QQ(rem[max(rem, key=keyf)])))
+    reduced.sort(key=lambda t: keyf(max(t, key=keyf)))
+    return reduced
+
+
+def _eager_represent(p, gens):
+    """represent with every tail reduced up front: the reduced basis of the
+    engine's minimal rows, then the remainder of (p, 0, ..., 0) by its
+    front-headed rows."""
+    sig, pk = p.sig, p.sig._pk
     order = TermOrder(sig, position="pt", top_comps=[0])
-    for gens in ([x * dx * QQ(2, 3) - s, x * x * QQ(-5, 2) + 1, dx * dx - x],
-                 [x + s * QQ(1, 3), dx * dx, x * s * -3 + dx * s * QQ(1, 3)]):
-        aug = [{**g.terms, (1 + i) << pk.cshift: QQ(1)} for i, g in enumerate(gens)]
-        (basis, stats), (ref_basis, ref_stats) = _engine_and_reference(aug, sig, order, {0})
-        assert basis == ref_basis and stats == ref_stats
-        assert stats.pairs_considered > 0
+    basis = _eager_reduced(groebner_engine(_augmented(gens), sig, order, pair_components={0}),
+                           sig, order)
+    front = _Reducers.of(order, pk, [b for b in basis if any(m >> pk.cshift == 0 for m in b)])
+    vec = _split(pk, front.remainder(p.terms), sig, len(gens) + 1)
+    return None if vec[0] else [-a for a in vec[1:]]
+
+
+# represent's augmented inputs: on the second ideal the Gebauer–Möller
+# update would reduce other pairs (15 skipped, not 9) and leave another
+# payload basis (7 elements, not 10)
+_PAYLOAD_SIG = d_n_s(("x",))
+_X, _DX, _S = (W.gen(_PAYLOAD_SIG, n) for n in ("x", "dx", "s"))
+_PAYLOAD_INPUTS = (
+    [_X * _DX * QQ(2, 3) - _S, _X * _X * QQ(-5, 2) + 1, _DX * _DX - _X],
+    [_X + _S * QQ(1, 3), _DX * _DX, _X * _S * -3 + _DX * _S * QQ(1, 3)],
+)
+
+
+def test_engine_matches_rational_buchberger_represent_payload():
+    # S-pairs only in component 0, the unit-vector payload riding along:
+    # the engine returns the minimal basis untouched by tail reduction,
+    # primitive integer rows with the leading term first, by degree and key;
+    # reduced the way the engine once did, they give the reference's basis
+    sig = _PAYLOAD_SIG
+    order = TermOrder(sig, position="pt", top_comps=[0])
+    keyf = _make_keyf(order, sig._pk)
+    for gens in _PAYLOAD_INPUTS:
+        aug = _augmented(gens)
+        rows = groebner_engine(aug, sig, order, pair_components={0})
+        stats = last_gb_stats()
+        ref_rows, ref_stats = _ref_groebner(aug, sig, order, {0}, minimal=True)
+        assert stats == ref_stats and stats.pairs_considered > 0
+        assert _by_degree_and_key(rows, sig, order) == _by_degree_and_key(ref_rows, sig, order)
+        leads = [next(iter(row)) for row in rows]
+        assert leads == [max(row, key=keyf) for row in rows]
+        assert leads == sorted(leads, key=lambda m: (_pdeg(sig._pk, m), keyf(m)))
+        for row in rows:
+            assert all(type(c) is int for c in row.values()) and math.gcd(*row.values()) == 1
+        assert _eager_reduced(rows, sig, order) == _ref_groebner(aug, sig, order, {0})[0]
+
+
+@pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y")), d_n_s(("x", "y"))],
+                         ids=["D1", "D2", "D2[s]"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_represent_matches_the_eager_path(sig, data):
+    # the lazy tails give the cofactors of the fully reduced basis, for
+    # members (sum c_i g_i) and, mostly, non-members (that plus 1)
+    gens = data.draw(_generators(sig))
+    cofactors = data.draw(_generators(sig))
+    p = sum((c * g for c, g in zip(cofactors, gens)), W.zero(sig))
+    if data.draw(st.booleans()):
+        p = p + 1
+    try:
+        with time_limit(time.monotonic() + 1):
+            lazy = represent(p, gens)
+            eager = _eager_represent(p, gens)
+    except GBTimeout:
+        reject()
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("gens", _PAYLOAD_INPUTS, ids=["first", "second"])
+def test_represent_matches_the_eager_path_on_the_payload_inputs(gens):
+    rng = random.Random(len(gens[0].terms))
+    for _ in range(5):
+        cofactors = [rand_op(_PAYLOAD_SIG, rng, max_terms=2, max_deg=2) for _ in gens]
+        p = sum((c * g for c, g in zip(cofactors, gens)), W.zero(_PAYLOAD_SIG))
+        for q in (p, p + _X):
+            assert represent(q, gens) == _eager_represent(q, gens)
 
 
 @pytest.mark.parametrize("sig", [d_n(("x",)), d_n(("x", "y")), d_n_s(("x", "y"))],
