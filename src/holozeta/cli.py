@@ -78,7 +78,8 @@ def parse_operator(text, sig, line=1):
     """Parse an operator expression into normally ordered form.  A product
     or power whose exponents would pass MAX_EXPONENT, or a constant that
     could not be printed in sys.get_int_max_str_digits() digits, is an input
-    error found before it is computed."""
+    error found before it is computed; so is a finished coefficient that
+    could not be printed."""
     digits = sys.get_int_max_str_digits()
     toks = []
     for m in _TOKEN.finditer(text):
@@ -180,6 +181,9 @@ def parse_operator(text, sig, line=1):
     kind, val, col = toks[-1]
     if kind != "end":
         raise InputError(f"unexpected {val!r}", line, col)
+    if digits and max((max(abs(c.numerator), c.denominator) for c in op.terms.values()),
+                      default=0) >= 10 ** digits:
+        raise InputError(f"coefficient with more than {digits} digits", line)
     return op
 
 

@@ -20,9 +20,11 @@ import math
 import operator
 from dataclasses import dataclass
 
+from . import weyl_core
 from .annihilator import build_malgrange
 from .upoly import UPoly
 from .weyl_core import (
+    QQ,
     QQ1,
     IdealPresentation,
     SignatureMismatch,
@@ -81,9 +83,13 @@ def w_adapted_basis(ideal, stage="w-adapted-basis"):
     """Groebner basis of the ideal adapted to the restriction weight.
 
     Generators are Bernstein-homogenized; the graded engine runs with the
-    weight row first and h scanned last in the grevlex tiebreak, and the
-    result is dehomogenized.  Initial forms of the output generate in_w.
-    The leading monomials of a grevlex basis are the weighted run's target.
+    weight row first and h scanned last in the grevlex tiebreak, and its
+    minimal basis (primitive integer rows, not tail-reduced: the restriction
+    reads only initial forms and low-weight elements, which any w-adapted
+    basis provides) is dehomogenized.  Initial forms of the output generate
+    in_w.  The leading monomials of a grevlex basis are the weighted run's
+    target.  The weighted run calls weyl_core.groebner_engine as looked up
+    at call time, so a wrapper patched onto that attribute sees it.
     """
     sig = ideal.sig
     hsig = sig.homogenize()
@@ -92,9 +98,12 @@ def w_adapted_basis(ideal, stage="w-adapted-basis"):
     ones = dict.fromkeys(hsig.names, 1)
     hideal = IdealPresentation(hsig, [g.homogenize("h", ones, hsig) for g in ideal.generators])
     grevlex = hideal.reducers(stage="w-adapted-basis-grevlex")
-    gb = hideal.basis(order, stage, hilbert_target=[r.lm for r in grevlex.reds])
-    dehomogenized = (g.subs_extra("h", 1, sig) for g in gb)
-    return [g for g in dehomogenized if g]
+    rows = weyl_core.groebner_engine([g.terms for g in hideal.generators], hsig, order, stage,
+                                     hilbert_target=[r.lm for r in grevlex.reds])
+    # h is the last slot, so the bits below it are the monomial without h;
+    # each row is homogeneous, so no two of its terms meet there
+    low = (1 << hsig._pk.h_shift) - 1
+    return [WeylOperator._of(sig, {m & low: QQ(c) for m, c in row.items()}) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ class _Pack:
     """Packed layout of one signature; a labelled monomial of a free module
     carries its component in the bits from cshift up."""
 
-    __slots__ = ("shifts", "guard", "dmask", "pairs", "h_shift", "cshift", "smask")
+    __slots__ = ("shifts", "guard", "dmask", "pairs", "h_shift", "cshift", "smask", "cguard")
 
     def __init__(self, sig):
         n = sig.nslots
@@ -247,6 +247,7 @@ class _Pack:
         self.h_shift = sig.h_slot * _PACK_BITS if sig.h_slot is not None else None
         self.cshift = n * _PACK_BITS
         self.smask = (1 << self.cshift) - 1
+        self.cguard = self.guard | ~self.smask  # (b - a) & cguard is 0 iff a divides b
 
 
 def _pack(pk, mono):
@@ -478,8 +479,8 @@ class WeylOperator:
         return max((_pdeg(pk, m) for m in self.terms), default=-1)
 
     def _weighted(self, row):
-        pk = self.sig._pk
-        return {m: sum(w * e for w, e in zip(row, _unpack(pk, m))) for m in self.terms}
+        fields = [(sh, w) for sh, w in zip(self.sig._pk.shifts, row) if w]
+        return {m: sum(w * ((m >> sh) & 0x7FFF) for sh, w in fields) for m in self.terms}
 
     def weights(self, row):
         return set(self._weighted(row).values())
@@ -966,28 +967,49 @@ def _hilbert_numerator(pk, monos):
             operator.or_, supports, 0).bit_count():
         out = [1]
         for m in gens:                                   # times 1 - t^deg m
-            k = _pdeg(pk, m)
-            out += [0] * k
-            for i in range(len(out) - 1, k - 1, -1):
-                out[i] -= out[i - k]
-    else:
-        mixed = [m for m, s in zip(gens, supports) if s & (s - 1)]
-        sh = max(pk.shifts, key=lambda sh: sum(1 for m in mixed if (m >> sh) & 0x7FFF))
-        exps = sorted(e for e in ((m >> sh) & 0x7FFF for m in mixed) if e)
-        e = exps[len(exps) // 2]
-        out = _hilbert_numerator(pk, gens + [e << sh])
-        colon = _hilbert_numerator(pk, [_lcm(pk, m, e << sh) - (e << sh) for m in gens])
-        out += [0] * (e + len(colon) - len(out))
-        for k, c in enumerate(colon, e):
-            out[k] += c
+            out = _plus_shifted(out, out, _pdeg(pk, m), -1)
+        return out
+    mixed = [m for m, s in zip(gens, supports) if s & (s - 1)]
+    sh = max(pk.shifts, key=lambda sh: sum(1 for m in mixed if (m >> sh) & 0x7FFF))
+    exps = sorted(e for e in ((m >> sh) & 0x7FFF for m in mixed) if e)
+    e = exps[len(exps) // 2]
+    colon = _hilbert_numerator(pk, [_lcm(pk, m, e << sh) - (e << sh) for m in gens])
+    return _plus_shifted(_hilbert_numerator(pk, gens + [e << sh]), colon, e, 1)
+
+
+def _plus_shifted(a, b, k, sign):
+    """a + sign t^k b on coefficient lists, trailing zeros stripped."""
+    out = a + [0] * (k + len(b) - len(a))
+    for i, c in enumerate(b, k):
+        out[i] += sign * c
     while out and not out[-1]:
         out.pop()
     return out
 
 
+def _hilbert_grown(pk, num, monos, m):
+    """N(I + <m>) from num = N(I), I generated by monos (as _hilbert_numerator):
+    N(I) - t^deg(m) N(I : m), where I : m is generated by the lcm(g, m) / m."""
+    colon = _hilbert_numerator(pk, [_lcm(pk, g, m) - m for g in monos])
+    return _plus_shifted(num, colon, _pdeg(pk, m), -1)
+
+
+def _minimal_lcms(pk, new):
+    """The (degree, lcm, index) of the entries of new, {lcm: index}, whose
+    lcm no other lcm in new properly divides.  In ascending degree, an lcm
+    is kept unless a kept one divides it: a proper divisor has the lower
+    degree, and a divisor of a divisor divides."""
+    cguard, kept = pk.cguard, []
+    for dl, l, i in sorted((_pdeg(pk, l), l, i) for l, i in new.items()):
+        if all((l - m) & cguard for _, m, _ in kept):
+            kept.append((dl, l, i))
+    return kept
+
+
 def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
                     hilbert_target=None):
-    """Reduced monic left Groebner basis of labelled term dicts.
+    """Reduced monic left Groebner basis of labelled term dicts, or the
+    minimal basis for the two modes below.
 
     Input and output dicts map labelled packed monomials (the component in
     the bits above the slots) to rational coefficients, under a TermOrder;
@@ -1016,8 +1038,11 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
     order (Traverso's Hilbert-driven Buchberger): the ideal's degree-d part
     has as many dimensions whatever the order, so once <lm G> holds as many
     degree-d monomials as the target, every S-pair of degree d reduces to
-    zero and is skipped.  The final leading ideal must have the target's
-    Hilbert numerator; the target of a larger ideal raises.
+    zero and is skipped.  The Hilbert numerator of <lm G> is updated one
+    leading monomial at a time.  The final leading ideal must have the
+    target's Hilbert numerator; the target of a larger ideal raises.  The
+    result is the minimal basis, which is a Groebner basis too, as
+    primitive integer dicts, leading term first, sorted by key.
 
     Past the time_limit deadline it raises GBTimeout naming stage.
     """
@@ -1031,64 +1056,50 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
         if any(len({_pdeg(pk, m) for m in g}) > 1 for g in gens):
             raise NonHomogeneousInput("a Hilbert target needs homogeneous input")
         target = _hilbert_numerator(pk, hilbert_target)
-        gap, grown = [], -1    # N(<lm G>) - N(target), as of len(basis) == grown
+        num, lms = [1], []     # N(<lms>), lms the leading monomials of basis[:len(lms)]
     keys = _Keys(_make_keyf(order, pk))
-    guard = pk.guard
-    cs = pk.cshift
+    cguard = pk.cguard
 
     reducers = _Reducers(keys, pk, stage, sparsest=True)
     basis = reducers.reds
-    sugars = []      # per basis element, its largest total degree
-
-    def grow(red):
-        reducers.add(red)
-        sugars.append(max(_pdeg(pk, lab) for lab, _ in red.terms))
-
-    for r in sorted((_Red.lead(_integral(g)[1], keys, pk) for g in gens if g),
-                    key=lambda r: r.key):
-        grow(r)
-
-    def divides(a, b):
-        d = b - a
-        return d >= 0 and not (d & guard)
-
+    ecarts = []      # per basis element, its largest total degree minus its lm's
+    by_comp = {}     # leading component -> [(index, lm)] of the elements paired there
     queued = {}      # (i, j) -> lcm of the pairs still to reduce
     pairs = []       # their heap; a pair deleted from queued is skipped when popped
     reducers.pending = queued
 
-    def add_pairs(j):
-        rj = basis[j]
+    def grow(rj):
+        """Add rj to the basis and queue its S-pairs."""
+        j, h = len(basis), rj.lm
+        reducers.add(rj)
+        ecarts.append(max(_pdeg(pk, lab) for lab, _ in rj.terms) - _pdeg(pk, h))
         if pair_components is not None and rj.comp not in pair_components:
             return
-        formed = [i for i in range(j) if basis[i].comp == rj.comp]
-        h = rj.lm
+        formed = by_comp.setdefault(rj.comp, [])
+        lcms = [(i, _lcm(pk, m, h)) for i, m in formed]
         if pair_components is not None:
-            kept = [(i, _lcm(pk, basis[i].lm, h)) for i in formed]
+            kept = [(_pdeg(pk, l), l, i) for i, l in lcms]
         else:
             # Gebauer–Möller: a queued pair whose lcm the new leading monomial
             # divides, sharing that lcm with neither end, is redundant
             for (i, k), l in list(queued.items()):
-                if (l >> cs == rj.comp and divides(h, l)
-                        and _lcm(pk, basis[i].lm, h) != l and _lcm(pk, basis[k].lm, h) != l):
+                if (not (l - h) & cguard and _lcm(pk, basis[i].lm, h) != l
+                        and _lcm(pk, basis[k].lm, h) != l):
                     del queued[i, k]
                     stats.pairs_skipped += 1
-            # of the new pairs, keep the lowest i per lcm, and only the lcms
-            # that no other new lcm properly divides
-            new = {}
-            for i in formed:
-                new.setdefault(_lcm(pk, basis[i].lm, h), i)
-            kept = [(i, l) for l, i in new.items()
-                    if not any(m != l and divides(m, l) for m in new)]
+            # of the new pairs, keep the lowest i per lcm (written last here),
+            # and only the lcms that no other new lcm properly divides
+            kept = _minimal_lcms(pk, {l: i for i, l in reversed(lcms)})
         stats.pairs_considered += len(formed)
         stats.pairs_skipped += len(formed) - len(kept)
-        for i, l in kept:
-            dl = _pdeg(pk, l)
-            sugar = max(sugars[k] + dl - _pdeg(pk, basis[k].lm) for k in (i, j))
+        for dl, l, i in kept:
             queued[i, j] = l
-            heapq.heappush(pairs, (sugar, keys[l], i, j, l))
+            heapq.heappush(pairs, (dl + max(ecarts[i], ecarts[j]), keys[l], i, j, l))
+        formed.append((j, h))
 
-    for j in range(len(basis)):
-        add_pairs(j)
+    for r in sorted((_Red.lead(_integral(g)[1], keys, pk) for g in gens if g),
+                    key=lambda r: r.key):
+        grow(r)
 
     while queued:
         if deadline is not None and time.monotonic() > deadline:
@@ -1097,10 +1108,11 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
         if queued.pop((i, j), None) is None:
             continue
         if hilbert_target is not None:
-            if grown != len(basis):
-                grown = len(basis)
-                gap = [a - b for a, b in itertools.zip_longest(
-                    _hilbert_numerator(pk, [r.lm for r in basis]), target, fillvalue=0)]
+            if len(lms) != len(basis):
+                for r in basis[len(lms):]:
+                    num = _hilbert_grown(pk, num, lms, r.lm)
+                    lms.append(r.lm)
+                gap = _plus_shifted(num, target, 0, -1)
             # dim (S/<lm G>)_d - dim (S/<target>)_d, from the coefficients of
             # 1 / (1 - t)^n
             n, d = len(pk.shifts), _pdeg(pk, l)
@@ -1109,9 +1121,9 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
                 continue
         fi, fj = basis[i], basis[j]
         if pair_components is not None and any(
-                k != i and k != j and fk.comp == fi.comp and divides(fk.lm, l)
-                and _lcm(pk, fi.lm, fk.lm) != l and _lcm(pk, fj.lm, fk.lm) != l
-                for k, fk in enumerate(basis)):
+                k != i and k != j and not (l - lk) & cguard
+                and _lcm(pk, fi.lm, lk) != l and _lcm(pk, fj.lm, lk) != l
+                for k, lk in by_comp[fi.comp]):
             # chain criterion, stateless proper-divisor form
             stats.pairs_skipped += 1
             continue
@@ -1123,7 +1135,6 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
         if rem:
             g = math.gcd(*rem.values())
             grow(_Red({m: c // g for m, c in rem.items()}, keys[next(iter(rem))], pk))
-            add_pairs(len(basis) - 1)
         else:
             stats.zero_reductions += 1
 
@@ -1131,17 +1142,18 @@ def groebner_engine(gens, sig, order, stage="groebner", pair_components=None,
     # (a divisor has the lower degree; under a negative weight, not the lower key)
     kept = _Reducers(keys, pk, stage)
     for r in sorted(basis, key=lambda r: (_pdeg(pk, r.lm), r.key)):
-        if not any(divides(k.lm, r.lm) for k in kept.scan.get(r.comp, ())):
+        if all((r.lm - k.lm) & cguard for k in kept.scan.get(r.comp, ())):
             kept.add(r)
     if hilbert_target is not None and _hilbert_numerator(
             pk, [r.lm for r in kept.reds]) != target:
         raise AssertionError("the leading ideal does not have the Hilbert target's numerator")
     stats.basis_size = len(kept.reds)
-    if pair_components is not None:
-        return [dict(r.terms) for r in kept.reds]
+    rows = kept.reds if pair_components is not None else sorted(kept.reds, key=lambda r: r.key)
+    if pair_components is not None or hilbert_target is not None:
+        return [dict(r.terms) for r in rows]
     # tail-reduce each against the others; the leading monomial stays
     reduced = []
-    for r in sorted(kept.reds, key=lambda r: r.key):
+    for r in rows:
         rem = _tail_reduced(r, kept)
         reduced.append(_rational(rem, QQ(rem[r.lm])))
     return reduced
@@ -1229,13 +1241,12 @@ class _Presentation:
         if grevlex_basis is not None:
             self._bases[TermOrder.grevlex(sig)] = tuple(grevlex_basis)
 
-    def basis(self, order=None, stage="groebner", hilbert_target=None):
-        """The reduced Groebner basis under order (grevlex by default);
-        hilbert_target as in groebner_engine."""
+    def basis(self, order=None, stage="groebner"):
+        """The reduced Groebner basis under order (grevlex by default)."""
         order = order or TermOrder.grevlex(self.sig)
         if order not in self._bases:
             gb = groebner_engine([self._terms(g) for g in self.generators],
-                                 self.sig, order, stage, hilbert_target=hilbert_target)
+                                 self.sig, order, stage)
             self._bases[order] = tuple(self._of(t) for t in gb)
         return self._bases[order]
 

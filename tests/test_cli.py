@@ -72,14 +72,15 @@ def test_parse_errors_carry_position():
 @pytest.mark.parametrize("text", [
     "²", "3²", "x^²", "½", "x +", "()", "(x", "x)", "", "x^-", "1/", "1/x", "x/2", "é",
     "x^99999", "2x", "x y", "x^2^", "--x", "1/0", "x^-1", "dx^32767*x^32767*dx",
-    "(x+1)^32767*x", "x^2 + 99999^32767"])
+    "(x+1)^32767*x", "x^2 + 99999^32767", "x^2 + 99999^800*99999^800"])
 def test_malformed_operator_is_input_error_with_position(text):
     with pytest.raises(InputError, match=r"\(line "):
         parse_operator(text, d_n(("x",)))
 
 
 def test_oversized_products_and_constants_are_found_before_expanding():
-    # each is refused before anything is expanded
+    # each is refused before anything is expanded, except the product of two
+    # printable constants, which the check of the finished coefficients finds
     limit = sys.get_int_max_str_digits()
     if limit != 4300:
         pytest.skip("the digit cases assume the default integer string limit")
@@ -91,6 +92,7 @@ def test_oversized_products_and_constants_are_found_before_expanding():
         "x^2 + 99999^32767": f"constant power with more than {limit} digits (line 1, col 13)",
         "(1/7)^5089": f"constant power with more than {limit} digits (line 1, col 7)",
         "1" + "0" * limit: f"integer with more than {limit} digits (line 1, col 1)",
+        "x^2 + 99999^800*99999^800": f"coefficient with more than {limit} digits (line 1)",
     }
     for text, message in errors.items():
         with pytest.raises(InputError) as err:
@@ -109,6 +111,15 @@ def test_oversized_constant_exits_3(tmp_path, capsys):
     assert run(["ann-fs", str(p)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: constant power with more than") and "(line 2" in err
+
+
+def test_oversized_product_of_constants_exits_3(tmp_path, capsys):
+    # each power prints, their product does not
+    p = tmp_path / "big.prob"
+    p.write_text("vars: x, y\nf: x^2 + 99999^800*99999^800\nannihilator: dx, dy\n")
+    assert run(["ann-fs", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: coefficient with more than") and "(line 2)" in err
 
 
 def test_print_parse_round_trip_random():

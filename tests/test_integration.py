@@ -258,6 +258,28 @@ def test_zeta_difference_ex2_membership(inst_cusp_gauss):
     assert g == reference.normalized()
 
 
+def test_w_adapted_basis_makes_no_tail_reduction(inst_cusp_gauss, monkeypatch):
+    # the restriction reads only initial forms and low-weight elements, which
+    # the engine's minimal basis provides: no row of the w-adapted run is
+    # tail-reduced, while the stages whose reduced bases are kept still are
+    import holozeta.weyl_core as wc
+    stages, tails = [], []
+    tail_reduced, engine = wc._tail_reduced, wc.groebner_engine
+
+    def counted_tail(red, kept):
+        tails.append(kept.stage)
+        return tail_reduced(red, kept)
+
+    def counted_engine(gens, sig, order, stage="groebner", *args, **kwargs):
+        stages.append(stage)
+        return engine(gens, sig, order, stage, *args, **kwargs)
+    monkeypatch.setattr(wc, "_tail_reduced", counted_tail)
+    monkeypatch.setattr(wc, "groebner_engine", counted_engine)
+    zeta_difference(inst_cusp_gauss)
+    assert "w-adapted-basis" in stages
+    assert "integration-colon" in tails and "w-adapted-basis" not in tails
+
+
 def test_gcrd_and_membership_laws():
     E = DifferenceOperator.shift(1)
     one = DifferenceOperator({0: UPoly.one()})

@@ -39,10 +39,12 @@ from holozeta.weyl_core import (
     MAX_EXPONENT,
     GBStats,
     GBTimeout,
+    _hilbert_grown,
     _hilbert_numerator,
     _Keys,
     _lcm,
     _make_keyf,
+    _minimal_lcms,
     _nf,
     _pack,
     _pdeg,
@@ -1238,6 +1240,50 @@ def test_hilbert_numerator_counts_monomials(x_names):
     assert _hilbert_numerator(pk, [0, _pack(pk, (1,) * n)]) == []
 
 
+_EXPONENTS = st.sampled_from((0, 0, 0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("x_names", [("x",), ("x", "y")], ids=["5 slots", "7 slots"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hilbert_numerator_grows_one_monomial_at_a_time(x_names, data):
+    # the engine's update N(I + <m>) = N(I) - t^deg(m) N(I : m) equals the
+    # numerator of all the monomials so far after each step, repeats and
+    # multiples of earlier monomials included
+    sig = RingSignature(x_names, has_t=True, homogenized=True)
+    pk, n = sig._pk, sig.nslots
+    steps = data.draw(st.lists(st.tuples(*[_EXPONENTS] * n), min_size=1, max_size=8))
+    monos, num = [], [1]
+    for exps in steps:
+        m = _pack(pk, exps)
+        num = _hilbert_grown(pk, num, monos, m)
+        monos.append(m)
+        assert num == _hilbert_numerator(pk, monos)
+
+
+@pytest.mark.parametrize("x_names", [("x",), ("x", "y")], ids=["5 slots", "7 slots"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_degree_ordered_lcm_filter_matches_the_quadratic_one(x_names, data):
+    # the new-pair filter scans the lcms in ascending degree against the ones
+    # it kept; the reference is the quadratic definition it replaced: keep an
+    # lcm unless another new lcm properly divides it
+    sig = RingSignature(x_names, has_t=True, homogenized=True)
+    pk, n = sig._pk, sig.nslots
+    comp = data.draw(st.integers(0, 2)) << pk.cshift
+    lcms = data.draw(st.lists(st.tuples(*[_EXPONENTS] * n), max_size=12, unique=True))
+    new = {_pack(pk, m) + comp: i for i, m in enumerate(lcms)}
+
+    def divides(a, b):
+        d = b - a
+        return d >= 0 and not (d & pk.guard)
+
+    reference = [l for l in new if not any(m != l and divides(m, l) for m in new)]
+    kept = _minimal_lcms(pk, new)
+    assert sorted(l for _, l, _ in kept) == sorted(reference)
+    assert all(i == new[l] and dl == _pdeg(pk, l) for dl, l, i in kept)
+
+
 def _homogenized_w_order(x_names):
     hsig = d_np1(x_names).homogenize()
     return hsig, TermOrder(hsig, weight_rows=[_w_row(hsig)])
@@ -1255,8 +1301,10 @@ def _grevlex_leading_monomials(gens, sig):
 def test_hilbert_driven_engine_matches_plain_and_reference(x_names, data):
     # Bernstein-homogenized random ideals under the w-row order, as in the
     # w-adapted basis: the run with the grevlex leading monomials as its
-    # target returns the plain run's basis, and the reference's, with no
-    # more zero reductions
+    # target returns a minimal basis of primitive integer rows, leading term
+    # first and sorted by key, with the plain run's leading monomials; tail-
+    # reduced, it is the plain run's basis and the reference's, reached with
+    # no more zero reductions
     hsig, order = _homogenized_w_order(x_names)
     ones = dict.fromkeys(hsig.names, 1)
     gens = [g.homogenize("h", ones, hsig).terms for g in data.draw(_generators(d_np1(x_names)))]
@@ -1271,8 +1319,14 @@ def test_hilbert_driven_engine_matches_plain_and_reference(x_names, data):
         ref = _ref_groebner(gens, hsig, order, deadline=time.monotonic() + 2)[0]
     except GBTimeout:
         reject()
-    assert driven == plain == ref
+    assert _eager_reduced(driven, hsig, order) == plain == ref
     assert stats.zero_reductions <= plain_zero
+    keyf = _make_keyf(order, hsig._pk)
+    leads = [next(iter(row)) for row in driven]
+    assert leads == [max(row, key=keyf) for row in driven]
+    assert leads == [max(g, key=keyf) for g in plain]
+    for row in driven:
+        assert all(type(c) is int for c in row.values()) and math.gcd(*row.values()) == 1
 
 
 def test_minimal_basis_under_a_negative_weight():
