@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .upoly import UPoly
+from .upoly import signed_rising
 from .weyl_core import (
     IdealPresentation,
     NonHomogeneousInput,
@@ -161,9 +161,9 @@ def psi_dehomogenize(P):
     nu = abs(m_w)
     out = WeylOperator.zero(sig_s)
     for (a, b), part in P.coefficients(("t", "dt"), sig_s).items():
-        poly = UPoly.signed_rising(0 if m_w <= 0 else nu, min(a, b))
+        poly = signed_rising(0 if m_w <= 0 else nu, min(a, b))
         out = out + WeylOperator(sig_s, {sig_s.mono({"s": e}): c
-                                         for e, c in enumerate(poly.c)}) * part
+                                         for e, c in enumerate(poly)}) * part
     return out, (nu if m_w <= 0 else -nu)
 
 

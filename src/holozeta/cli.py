@@ -472,10 +472,15 @@ def run(argv=None):
         except ValueError as exc:
             print(f"input error: bad --lambda0: {exc}", file=sys.stderr)
             return 3
-    if args.timeout is not None and not args.timeout > 0:
-        print(f"input error: --timeout must be positive, not {args.timeout:g}",
-              file=sys.stderr)
-        return 3
+    # checked before the problem is loaded: a box of 0 or a tolerance of inf
+    # would pass any answer, and a nan box would hang the quadrature
+    for flag, rule, ok in (("timeout", "positive", lambda v: v > 0),
+                           ("box", "finite and positive", lambda v: 0 < v < math.inf),
+                           ("tol", "finite and nonnegative", lambda v: 0 <= v < math.inf)):
+        value = getattr(args, flag, None)
+        if value is not None and not ok(value):
+            print(f"input error: --{flag} must be {rule}, not {value:g}", file=sys.stderr)
+            return 3
     t0 = time.monotonic()
     try:
         prob = ProblemFile.load(args.problem)

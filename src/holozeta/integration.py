@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import weyl_core
 from .annihilator import build_malgrange
-from .upoly import UPoly
+from .upoly import UPoly, _add, _int_gcd, _int_quo, _mul, _primitive, _shift, signed_rising
 from .weyl_core import (
     QQ,
     QQ1,
@@ -36,7 +36,6 @@ from .weyl_core import (
     d_1,
     minimal_polynomial,
     q_str,
-    rational_content,
     signed_sum,
 )
 
@@ -230,12 +229,7 @@ class DifferenceOperator:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for k, p in coeffs.items():
-                p = p if isinstance(p, UPoly) else UPoly((p,))
-                if p:
-                    self.coeffs[k] = p
+        self.coeffs = {k: p for k, p in (coeffs or {}).items() if p}
 
     @classmethod
     def shift(cls, k=1):
@@ -264,34 +258,16 @@ class DifferenceOperator:
             add_term(out, k, p)
         return DifferenceOperator(out)
 
-    def __neg__(self):
-        return DifferenceOperator({k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, UPoly):
-            other = DifferenceOperator({0: other})
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
                 add_term(out, i + j, a * b.shift(i))
         return DifferenceOperator(out)
 
-    def scale(self, c):
-        return DifferenceOperator({k: p * c for k, p in self.coeffs.items()})
-
     def normalized(self):
         """Shift so the minimal E-power is 0, clear content, fix the sign."""
-        if not self.coeffs:
-            return DifferenceOperator()
-        k = -min(self.coeffs)
-        shifted = {i + k: p.shift(k) for i, p in self.coeffs.items()}
-        cont = rational_content([c for p in shifted.values() for c in p.c])
-        if shifted[max(shifted)].lead < 0:
-            cont = -cont
-        return DifferenceOperator({i: p * (QQ1 / cont) for i, p in shifted.items()})
+        return DifferenceOperator(dict(enumerate(map(UPoly, _to_poly_list(self)))))
 
     def to_str(self):
         parts = []
@@ -319,12 +295,16 @@ def mellin_raw(op):
     if sig.n_x != 0 or not sig.has_t:
         raise SignatureMismatch("mellin transform expects a D_1 operator")
     ts, dts = sig.slot("t"), sig.slot("dt")
-    out = DifferenceOperator()
-    for m, c in op.exponent_terms().items():
+    terms = op.exponent_terms()
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    rows = {}
+    for m, c in terms.items():
         a, b = m[ts], m[dts]
-        # E^a (-s E^-1)^b = (-1)^b (s+a)(s+a-1)...(s+a-b+1) E^(a-b)
-        out = out + DifferenceOperator({a - b: UPoly.signed_rising(a - b, b) * c})
-    return out
+        # E^a (-s E^-1)^b = (-1)^b (s+a)(s+a-1)...(s+a-b+1) E^(a-b), summed
+        # on integers over the common denominator den
+        n = c.numerator * (den // c.denominator)
+        rows[a - b] = _add(rows.get(a - b, []), [n * v for v in signed_rising(a - b, b)])
+    return DifferenceOperator({k: UPoly(QQ(v, den) for v in row) for k, row in rows.items()})
 
 
 def mellin_to_difference(ideal):
@@ -344,54 +324,52 @@ def zeta_difference(inst):
 
 # ---------------------------------------------------------------------------
 # skew Euclidean layer over Q(s) for the gcrd of the difference operators, done
-# fraction-free: primitive pseudo-remainder sequences keep the coefficients
-# as integer-content-1 polynomials instead of deep Q(s) gcd chains
+# fraction-free on integer coefficient lists: primitive pseudo-remainder
+# sequences keep the coefficients as integer-content-1 polynomials instead of
+# deep Q(s) gcd chains
 # ---------------------------------------------------------------------------
 
 def _to_poly_list(op):
-    """Dense coefficient list [c_0, ..., c_d] over Q[s], min power cleared."""
-    norm = op.normalized()
-    return [norm.coeffs.get(i, UPoly.zero()) for i in range(norm.max_power + 1)]
+    """Dense primitive integer form [c_0, ..., c_d] of op: the minimal E-power
+    cleared, each c_i an integer coefficient list, content 1 and a positive
+    lead on c_d; [] for the zero operator."""
+    if not op:
+        return []
+    lo, hi = min(op.coeffs), max(op.coeffs)
+    cs = _primitive([op.coeffs[k].c if k in op.coeffs else () for k in range(lo, hi + 1)])
+    return [_shift(c, -lo) for c in cs]
 
 
 def _strip_primitive(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    if not cs:
-        return cs
-    pcont = UPoly.zero()
+    """Divide out the polynomial content, then the integer content."""
+    pcont = []
     for c in cs:
-        pcont = pcont.gcd(c)
-    if pcont.degree > 0:
-        cs = [c.exact_div(pcont) for c in cs]
-    cont = rational_content([v for c in cs for v in c.c])
-    if cs[-1].lead < 0:
-        cont = -cont
-    return [c * (QQ1 / cont) for c in cs]
+        pcont = _int_gcd(pcont, c)
+        if len(pcont) == 1:
+            break
+    if len(pcont) > 1:
+        cs = [_int_quo(c, pcont) for c in cs]
+    return _primitive(cs)
 
 
 def _pseudo_right_rem(a, b):
-    """Pseudo-remainder of a under right division by b (dense Q[s] lists).
+    """Pseudo-remainder of a under right division by b (dense integer lists).
 
     Vanishes exactly when the true Q(s) remainder does.  Each step clears
     the integer content only; the polynomial content goes once, from the
     finished remainder, which is returned primitive.
     """
-    a = list(a)
     db = len(b) - 1
-    while True:
+    while len(a) > db:
+        d = len(a) - 1 - db
+        lead = _shift(b[db], d)
+        neg_lca = [-v for v in a[-1]]
+        a = [_mul(c, lead) for c in a]
+        for i, bc in enumerate(b):
+            a[i + d] = _add(a[i + d], _mul(neg_lca, _shift(bc, d)))
         while a and not a[-1]:
             a.pop()
-        if len(a) - 1 < db or not a:
-            break
-        d = len(a) - 1 - db
-        lead = b[db].shift(d)
-        lca = a[-1]
-        a = [c * lead for c in a]
-        for i, bc in enumerate(b):
-            a[i + d] = a[i + d] - lca * bc.shift(d)
-        cont = rational_content([v for c in a for v in c.c]) or QQ1
-        a = [c * (QQ1 / cont) for c in a]
+        a = _primitive(a)
     return _strip_primitive(a)
 
 
@@ -409,4 +387,4 @@ def difference_gcrd(ops):
         while b:
             a, b = b, _pseudo_right_rem(a, b)
         cur = a
-    return DifferenceOperator({i: c for i, c in enumerate(cur)}).normalized()
+    return DifferenceOperator(dict(enumerate(map(UPoly, cur)))).normalized()

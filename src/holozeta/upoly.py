@@ -2,14 +2,16 @@
 
 Small self-contained layer used for b-functions, Taylor/series bookkeeping of
 the Laurent-coefficient operators, and difference-operator coefficients.
-Coefficients are stored densely, lowest degree first; gcds and rational roots
-run on integer coefficient lists.
+Coefficients are stored densely, lowest degree first.  The arithmetic runs on
+plain coefficient lists, which the difference layer shares; gcds and rational
+roots run on primitive integer lists.
 """
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
-from .weyl_core import QQ, QQ0, QQ1, q_str, rational_content, signed_sum
+from .weyl_core import QQ, QQ0, QQ1, q_str, signed_sum
 
 
 class UPoly:
@@ -36,16 +38,10 @@ class UPoly:
 
     @classmethod
     def from_roots(cls, roots):
-        p = cls.one()
+        p = [1]
         for r in roots:
-            p = p * cls((-QQ(r), 1))
-        return p
-
-    @classmethod
-    def signed_rising(cls, c, j):
-        """(-1)^j (s+c+1)(s+c+2)...(s+c+j) for integers c and j >= 0."""
-        p = cls.from_roots(range(-c - j, -c))
-        return -p if j % 2 else p
+            p = _mul(p, [-r, 1])
+        return cls(p)
 
     # -- basics ----------------------------------------------------------------
     @property
@@ -75,8 +71,7 @@ class UPoly:
     def __add__(self, other):
         if isinstance(other, (int, type(QQ0))):
             other = UPoly((other,))
-        n = max(len(self.c), len(other.c))
-        return UPoly([self[i] + other[i] for i in range(n)])
+        return UPoly(_add(self.c, other.c))
 
     __radd__ = __add__
 
@@ -84,24 +79,12 @@ class UPoly:
         return UPoly([-v for v in self.c])
 
     def __sub__(self, other):
-        if isinstance(other, (int, type(QQ0))):
-            other = UPoly((other,))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, type(QQ0))):
             return UPoly([v * QQ(other) for v in self.c])
-        if not self.c or not other.c:
-            return UPoly.zero()
-        out = [QQ0] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[i + j] += a * b
-        return UPoly(out)
+        return UPoly(_mul(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -146,17 +129,9 @@ class UPoly:
         lc = self.lead
         return UPoly([v / lc for v in self.c])
 
-    def content(self):
-        return rational_content(self.c) if self.c else QQ0
-
     def primitive(self):
         """Integer-coefficient form with content 1 and positive lead."""
-        if not self.c:
-            return self
-        cont = self.content()
-        if self.lead < 0:
-            cont = -cont
-        return UPoly([v / cont for v in self.c])
+        return UPoly(_int_form(self))
 
     def eval(self, v):
         acc = QQ0 if isinstance(v, (int, type(QQ0))) else 0
@@ -165,14 +140,8 @@ class UPoly:
         return acc
 
     def shift(self, a):
-        """P(s) -> P(s + a), by Horner's rule in place: pass i is a synthetic
-        division by s - a that leaves the coefficient of s^i final."""
-        a = QQ(a)
-        c = list(self.c)
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] += a * c[j + 1]
-        return UPoly(c)
+        """P(s) -> P(s + a)."""
+        return UPoly(_shift(self.c, QQ(a)))
 
     # -- root bookkeeping --------------------------------------------------------
     def rational_roots(self):
@@ -236,20 +205,67 @@ class UPoly:
         return f"<UPoly {self.to_str()}>"
 
 
-# Integer polynomials below are coefficient lists, lowest degree first.
+# Polynomials below are coefficient lists, lowest degree first, with no
+# trailing zeros; the integer ones are lists of ints.
+
+def _add(a, b):
+    """The sum of two coefficient lists, in the type of their entries."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a, b):
+    """The product of two coefficient lists, in the type of their entries."""
+    if not a or not b:
+        return []
+    # zeros of the entries' type: adding a Fraction to an int 0 takes the
+    # slower mixed-type path
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shift(a, k):
+    """P(s) -> P(s + k) on a coefficient list, by Horner's rule in place:
+    pass i is a synthetic division by s - k that leaves the coefficient of
+    s^i final."""
+    c = list(a)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += k * c[j + 1]
+    return c
+
+
+def signed_rising(c, j):
+    """(-1)^j (s+c+1)(s+c+2)...(s+c+j) as an integer coefficient list, for
+    integers c and j >= 0."""
+    p = [(-1) ** j]
+    for r in range(c + 1, c + j + 1):
+        p = _mul(p, [r, 1])
+    return p
+
+
+def _primitive(lists):
+    """Coprime integer lists proportional to the coefficient lists (of ints
+    or rationals) taken together, with a positive lead on the last list."""
+    flat = [c for a in lists for c in a]
+    num = math.gcd(*(c.numerator for c in flat))
+    if not num:
+        return [[0] * len(a) for a in lists]
+    den = math.lcm(*(c.denominator for c in flat))
+    if lists[-1][-1] < 0:
+        num = -num
+    return [[c.numerator * (den // c.denominator) // num for c in a] for a in lists]
+
 
 def _int_form(p):
     """The primitive integer coefficient list of a UPoly."""
-    return [int(v) for v in p.primitive().c]
-
-
-def _int_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    if a and a[-1] < 0:
-        g = -g
-    return [c // g for c in a] if g else a
+    return _primitive([p.c])[0]
 
 
 def _int_gcd(a, b):
@@ -264,8 +280,8 @@ def _int_gcd(a, b):
                 r[k + i] -= c * y
             while r and not r[-1]:
                 r.pop()
-        a, b = b, _int_primitive(r)
-    return _int_primitive(a)
+        a, b = b, _primitive([r])[0]
+    return _primitive([a])[0]
 
 
 def _int_quo(a, g):

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
 with its runtime (run with -s to see them).  Criterion 9 is the slowest,
-15-17 s on a 2-core VM; -m "not slow" leaves it out.  For criterion 5 at
+7-9 s on a 2-core VM; -m "not slow" leaves it out.  For criterion 5 at
 k = -1 the quoted expected generator carries a sign typo (z^2 dz - z cannot
 annihilate the coefficient, z^2 dz + z does); the literal assertion is kept
 and marked xfail, and the corrected ideal is asserted exactly alongside.

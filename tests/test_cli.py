@@ -345,6 +345,25 @@ def test_run_nonpositive_timeout_is_input_error(value, capsys):
     assert captured.err.startswith("input error: --timeout must be positive")
 
 
+@pytest.mark.parametrize("flag,rule", [
+    ("--box=0", "--box must be finite and positive"),
+    ("--box=-3", "--box must be finite and positive"),
+    ("--box=nan", "--box must be finite and positive"),
+    ("--box=inf", "--box must be finite and positive"),
+    ("--tol=-1e-6", "--tol must be finite and nonnegative"),
+    ("--tol=nan", "--tol must be finite and nonnegative"),
+    ("--tol=inf", "--tol must be finite and nonnegative"),
+])
+def test_run_box_and_tol_that_fake_or_hang_the_check_are_input_errors(flag, rule, capsys):
+    # a box of 0 gives a residual of 0, a tolerance of inf passes any
+    # residual and a nan box hangs the quadrature: all are refused before the
+    # problem is loaded
+    rc = run(["verify", prob("cusp_gauss.prob"), flag])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith(f"input error: {rule}") and captured.err.count("\n") == 1
+
+
 def test_no_deadline_outlives_its_command(capsys):
     # the benchmark runs many commands in one process
     from holozeta import weyl_core

@@ -42,6 +42,14 @@ def _references(tree):
     return out
 
 
+def test_rational_content_stays_in_weyl_core():
+    # outside the engine module, coefficient lists reach their primitive
+    # integer form through one helper, upoly._primitive
+    users = [path.name for path in MODULES if path.name != "weyl_core.py"
+             and "rational_content" in _references(ast.parse(path.read_text()))]
+    assert not users, f"rational_content used outside weyl_core.py: {users}"
+
+
 def test_every_definition_is_referenced():
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(), filename=str(path))
